@@ -129,10 +129,7 @@ struct Pipeline::Impl {
   // Diagnostics folded into OnlineResult (driver thread only).
   int stale_repriced = 0;
   int speculative_commits = 0;
-  std::size_t pub_row_hits = 0;       // publisher-session §13 tallies
-  std::size_t pub_rows_retained = 0;
-  std::size_t pub_rows_evicted = 0;
-  std::size_t pub_peak_bytes = 0;
+  std::size_t pub_peak_bytes = 0;     // publisher-session closure footprint
 
   bool moved_since(std::uint64_t priced_gen) const {
     for (std::uint64_t g = priced_gen; g < generation; ++g) {
@@ -265,12 +262,8 @@ void Pipeline::Impl::publish_epoch(int first, int* count, int committed) {
     // repaired per epoch, and the re-homing fallback queries
     // hub-to-destination rows for arbitrary queued requests.
     req.bounded = false;
-    req.retention = opt.retention_rows;
     api::SolveReport publish_report;
     epoch = publisher.publish(stream.master().network, union_hubs, req, publish_report);
-    pub_row_hits += static_cast<std::size_t>(publish_report.closure_row_hits);
-    pub_rows_retained += static_cast<std::size_t>(publish_report.closure_rows_retained);
-    pub_rows_evicted += static_cast<std::size_t>(publish_report.closure_rows_evicted);
     pub_peak_bytes = std::max(pub_peak_bytes, publish_report.closure_bytes);
   }
 
@@ -404,9 +397,6 @@ OnlineResult Pipeline::Impl::run() {
   stream.finish(result);
   result.stale_repriced = stale_repriced;
   result.speculative_commits = speculative_commits;
-  result.closure_row_hits = pub_row_hits;
-  result.closure_rows_retained = pub_rows_retained;
-  result.closure_rows_evicted = pub_rows_evicted;
   result.peak_closure_bytes = pub_peak_bytes;
   return result;
 }

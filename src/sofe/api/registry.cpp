@@ -42,7 +42,6 @@ class SofdaSolver final : public Solver {
     req.threads = opt_.threads;
     req.incremental = opt_.incremental;
     req.bounded = opt_.bounded_closure;
-    req.retention = opt_.retention_rows;
     // Pricing and chain lifting query hub-to-hub only; the re-homing
     // fallback additionally queries hub-to-destination — so destinations
     // complete the settle scope of a bounded closure.
@@ -149,7 +148,6 @@ class SofdaSsSolver final : public Solver {
     // distribution part rides its own Steiner trees), so a bounded scope
     // needs no extra targets.
     req.bounded = opt_.bounded_closure;
-    req.retention = opt_.retention_rows;
     const auto& closure = session_.acquire(p.network, hubs, req, r);
     util::Stopwatch watch;
     ServiceForest f = core::sofda_ss(p, source, closure, opt_.algo());
@@ -221,7 +219,6 @@ class DistSolver final : public Solver {
     req.threads = opt_.threads;
     req.incremental = opt_.incremental;
     req.bounded = opt_.bounded_closure;
-    req.retention = opt_.retention_rows;
     req.settle_targets = p.destinations;  // the sharded advertisement targets
     const dist::ShardedClosure& sc = session_.acquire_sharded(p.network, hubs, k, req, bus, r);
 

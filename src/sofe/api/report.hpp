@@ -45,9 +45,6 @@ class ReportAccumulator {
     pricing_hits_ += static_cast<std::size_t>(r.pricing_hits);
     pricing_repriced_ += static_cast<std::size_t>(r.pricing_repriced);
     if (r.pricing_flushed) ++pricing_flushes_;
-    row_hits_ += static_cast<std::size_t>(r.closure_row_hits);
-    rows_retained_ += static_cast<std::size_t>(r.closure_rows_retained);
-    rows_evicted_ += static_cast<std::size_t>(r.closure_rows_evicted);
     peak_closure_bytes_ = std::max(peak_closure_bytes_, r.closure_bytes);
   }
 
@@ -78,13 +75,6 @@ class ReportAccumulator {
   std::size_t pricing_repriced() const noexcept { return pricing_repriced_; }
   /// Solves on which the pricing cache dropped every cached chain.
   std::size_t pricing_flushes() const noexcept { return pricing_flushes_; }
-  /// Requested hubs served from warm rows the previous request did not
-  /// name (SolveReport::closure_row_hits summed; DESIGN.md §13).
-  std::size_t closure_row_hits() const noexcept { return row_hits_; }
-  /// Rows kept beyond their request by the retention window, summed.
-  std::size_t closure_rows_retained() const noexcept { return rows_retained_; }
-  /// Stored rows dropped by acquires (LRU overflow or rebuild), summed.
-  std::size_t closure_rows_evicted() const noexcept { return rows_evicted_; }
   /// Largest per-solve closure slab footprint seen (closure_bytes max).
   std::size_t peak_closure_bytes() const noexcept { return peak_closure_bytes_; }
 
@@ -130,9 +120,6 @@ class ReportAccumulator {
   std::size_t pricing_hits_ = 0;
   std::size_t pricing_repriced_ = 0;
   std::size_t pricing_flushes_ = 0;
-  std::size_t row_hits_ = 0;
-  std::size_t rows_retained_ = 0;
-  std::size_t rows_evicted_ = 0;
   std::size_t peak_closure_bytes_ = 0;
 };
 

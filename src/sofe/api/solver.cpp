@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
 
 #include "sofe/api/report.hpp"
 #include "sofe/dist/sharded_closure.hpp"
@@ -30,62 +29,12 @@ namespace sofe::api {
 ClosureSession::ClosureSession() = default;
 ClosureSession::~ClosureSession() = default;
 
-template <typename StoredFn>
-void ClosureSession::plan_retention(const std::vector<NodeId>& hubs, int retention,
-                                    std::size_t stored_rows, const StoredFn& stored,
-                                    SolveReport& report) {
-  // keep = requested hubs (duplicates fine; retain dedupes) + up to
-  // `retention` stored LRU hubs, most recently requested first.  Every
-  // stored hub is requested, retained or evicted — the tallies below
-  // partition `stored_rows` accordingly.
-  keep_.assign(hubs.begin(), hubs.end());
-  const std::unordered_set<NodeId> requested(hubs.begin(), hubs.end());
-  const std::unordered_set<NodeId> prev(key_hubs_.begin(), key_hubs_.end());
-  std::size_t requested_stored = 0;
-  int hits = 0;
-  for (NodeId h : requested) {
-    if (!stored(h)) continue;
-    ++requested_stored;
-    if (!prev.contains(h)) ++hits;  // a Dijkstra the window saved
-  }
-  int retained = 0;
-  for (NodeId h : lru_) {
-    if (retained >= retention) break;
-    if (requested.contains(h) || !stored(h)) continue;
-    keep_.push_back(h);
-    ++retained;
-  }
-  report.closure_row_hits = hits;
-  report.closure_rows_retained = retained;
-  report.closure_rows_evicted =
-      static_cast<int>(stored_rows - requested_stored) - retained;
-}
-
-void ClosureSession::touch_lru(const std::vector<NodeId>& hubs, int retention) {
-  const std::unordered_set<NodeId> requested(hubs.begin(), hubs.end());
-  std::erase_if(lru_, [&](NodeId h) { return requested.contains(h); });
-  std::vector<NodeId> next;
-  next.reserve(requested.size() + lru_.size());
-  std::unordered_set<NodeId> seen;
-  for (NodeId h : hubs) {
-    if (seen.insert(h).second) next.push_back(h);
-  }
-  next.insert(next.end(), lru_.begin(), lru_.end());
-  // The window retains at most `retention` extras per acquire; a modest
-  // multiple of that is enough recency history for eligibility to rotate
-  // through, and it bounds the list on endless non-recurring streams.
-  const std::size_t cap =
-      seen.size() + static_cast<std::size_t>(std::max(retention, 0)) * 4;
-  if (next.size() > cap) next.resize(cap);
-  lru_ = std::move(next);
-}
-
 const graph::MetricClosure& ClosureSession::acquire(const graph::Graph& g,
                                                     const std::vector<NodeId>& hubs,
                                                     const ClosureRequest& req,
                                                     SolveReport& report) {
   report.closure_hubs = static_cast<int>(hubs.size());
-  const bool window = req.incremental && !req.bounded;  // retention applies
+  const bool incremental = req.incremental && !req.bounded;
   const auto edges = g.edges();
 
   // Structural part of the key: node count + edge endpoints.  Costs are
@@ -109,10 +58,9 @@ const graph::MetricClosure& ClosureSession::acquire(const graph::Graph& g,
                                                key_edges_[i].cost, edges[i].cost});
       }
     }
-    if (req.incremental && !req.bounded) {
-      // Union semantics: only hubs without a stored tree matter.  Stale
-      // extra hubs from earlier acquires are invisible to queries (each
-      // tree is independent) and get repaired along with the rest.
+    if (incremental) {
+      // Only hubs without a stored tree matter: stored rows of hubs the
+      // request no longer names are dropped below, never queried.
       for (NodeId h : hubs) {
         if (!closure_.is_hub(h)) missing_.push_back(h);
       }
@@ -132,20 +80,15 @@ const graph::MetricClosure& ClosureSession::acquire(const graph::Graph& g,
 
   row_changes_.clear();
   added_hubs_.clear();
-  const auto is_stored = [this](NodeId h) { return closure_.is_hub(h); };
   if (structure_same && hubs_ok && deltas_.empty()) {
     report.closure_cache_hit = true;
     last_kind_ = core::ClosureUpdate::Kind::kUnchanged;
-    if (window) {
-      // Nothing is dropped on a pure hit: every extra stored row stays.
-      const std::unordered_set<NodeId> prev(key_hubs_.begin(), key_hubs_.end());
-      const std::unordered_set<NodeId> requested(hubs.begin(), hubs.end());
-      for (NodeId h : requested) {
-        if (!prev.contains(h)) ++report.closure_row_hits;
-      }
-      report.closure_rows_retained =
-          static_cast<int>(closure_.hub_count() - requested.size());
-      touch_lru(hubs, req.retention);
+    if (incremental) {
+      // A shrunken request drops the rows it no longer names; the kept
+      // rows are untouched, so this is still a hit.  The strict key
+      // follows, as on the repair path.
+      closure_.retain(hubs);
+      key_hubs_ = hubs;
     }
     report.closure_bytes = closure_.memory_bytes();
     return closure_;
@@ -159,13 +102,11 @@ const graph::MetricClosure& ClosureSession::acquire(const graph::Graph& g,
   // with |hubs| * (V + E); past a quarter of the edges changing, affected
   // regions approach whole trees and the rebuild's sequential sweeps win.
   const bool repairable =
-      structure_same && window && deltas_.size() * 4 <= edges.size();
+      structure_same && incremental && deltas_.size() * 4 <= edges.size();
   if (repairable) {
-    // Keep the requested hubs plus the retention window's warm rows;
-    // everything kept is revalidated by the refresh below, so a retained
-    // hub that returns later is served already-repaired (a row hit).
-    plan_retention(hubs, req.retention, closure_.hub_count(), is_stored, report);
-    closure_.retain(keep_);
+    // Drop unrequested rows first so the refresh repairs only what the
+    // request reads.
+    closure_.retain(hubs);
     closure_.refresh(g, deltas_, req.threads, &engine_, &row_changes_);
     if (!missing_.empty()) closure_.extend(g, missing_, req.threads, &engine_);
     added_hubs_ = missing_;
@@ -175,14 +116,10 @@ const graph::MetricClosure& ClosureSession::acquire(const graph::Graph& g,
     for (const graph::EdgeCostDelta& d : deltas_) {
       key_edges_[static_cast<std::size_t>(d.edge)].cost = d.new_cost;
     }
-    // The strict key follows the REQUEST, not the stored superset: retained
-    // rows are invisible to queries, and a later non-incremental acquire
-    // must not falsely hit on a closure whose trees changed.
+    // The strict key follows the request: a later non-incremental acquire
+    // must not falsely hit on a closure whose hub set changed.
     key_hubs_ = hubs;
   } else {
-    if (window && valid_) {
-      report.closure_rows_evicted = static_cast<int>(closure_.hub_count());
-    }
     graph::ClosureScope scope;
     scope.bounded = req.bounded;
     scope.extra_targets = req.settle_targets;
@@ -195,7 +132,6 @@ const graph::MetricClosure& ClosureSession::acquire(const graph::Graph& g,
     valid_ = true;
     sharded_valid_ = false;  // the key storage no longer describes the sharded cache
   }
-  if (window) touch_lru(hubs, req.retention);
   report.closure_bytes = closure_.memory_bytes();
   report.closure_seconds = watch.seconds();
   return closure_;
@@ -206,7 +142,7 @@ const dist::ShardedClosure& ClosureSession::acquire_sharded(
     const ClosureRequest& req, dist::MessageBus& bus, SolveReport& report) {
   assert(controllers >= 1);
   report.closure_hubs = static_cast<int>(hubs.size());
-  const bool window = req.incremental && !req.bounded;
+  const bool incremental = req.incremental && !req.bounded;
   const auto edges = g.edges();
 
   // Same exact key as acquire(), plus the controller count: a different k
@@ -231,7 +167,7 @@ const dist::ShardedClosure& ClosureSession::acquire_sharded(
                                                key_edges_[i].cost, edges[i].cost});
       }
     }
-    if (req.incremental && !req.bounded) {
+    if (incremental) {
       for (NodeId h : hubs) {
         if (!sharded_->closure().is_hub(h)) missing_.push_back(h);
       }
@@ -245,19 +181,12 @@ const dist::ShardedClosure& ClosureSession::acquire_sharded(
 
   row_changes_.clear();
   added_hubs_.clear();
-  const auto is_stored = [this](NodeId h) { return sharded_->closure().is_hub(h); };
   if (structure_same && hubs_ok && deltas_.empty()) {
     report.closure_cache_hit = true;
     last_kind_ = core::ClosureUpdate::Kind::kUnchanged;
-    if (window) {
-      const std::unordered_set<NodeId> prev(key_hubs_.begin(), key_hubs_.end());
-      const std::unordered_set<NodeId> requested(hubs.begin(), hubs.end());
-      for (NodeId h : requested) {
-        if (!prev.contains(h)) ++report.closure_row_hits;
-      }
-      report.closure_rows_retained =
-          static_cast<int>(sharded_->closure().hub_count() - requested.size());
-      touch_lru(hubs, req.retention);
+    if (incremental) {
+      sharded_->retain(hubs);
+      key_hubs_ = hubs;
     }
     report.closure_bytes = sharded_->memory_bytes();
     return *sharded_;
@@ -268,16 +197,13 @@ const dist::ShardedClosure& ClosureSession::acquire_sharded(
   g.ensure_csr();
 
   const bool repairable =
-      structure_same && window && deltas_.size() * 4 <= edges.size();
+      structure_same && incremental && deltas_.size() * 4 <= edges.size();
   if (repairable) {
     // retain -> refresh -> extend, every re-exchanged row charged on `bus`
     // by the ShardedClosure itself.  refresh clears `row_changes_` before
     // filling it; extend appends, so the combined list is this solve's
-    // pricing-invalidation feed.  The keep-list includes the retention
-    // window: a retained source hub that returns next acquire is NOT
-    // missing, so no controller re-ships its rows (tested).
-    plan_retention(hubs, req.retention, sharded_->closure().hub_count(), is_stored, report);
-    sharded_->retain(keep_);
+    // pricing-invalidation feed.
+    sharded_->retain(hubs);
     if (!deltas_.empty()) sharded_->refresh(g, deltas_, req.threads, bus, &row_changes_);
     if (!missing_.empty()) sharded_->extend(g, hubs, req.threads, bus, &row_changes_);
     added_hubs_ = missing_;
@@ -289,9 +215,6 @@ const dist::ShardedClosure& ClosureSession::acquire_sharded(
     }
     key_hubs_ = hubs;
   } else {
-    if (window && sharded_valid_ && sharded_ != nullptr) {
-      report.closure_rows_evicted = static_cast<int>(sharded_->closure().hub_count());
-    }
     // Cold rebuild: the coordinator re-partitions and ships each peer its
     // assignment (one protocol round), then the sharded build runs its
     // charged border/hub row exchange.
@@ -312,7 +235,6 @@ const dist::ShardedClosure& ClosureSession::acquire_sharded(
     sharded_valid_ = true;
     valid_ = false;  // the key storage no longer describes the plain cache
   }
-  if (window) touch_lru(hubs, req.retention);
   report.closure_bytes = sharded_->memory_bytes();
   report.closure_seconds = watch.seconds();
   return *sharded_;

@@ -81,19 +81,6 @@ struct SolverOptions {
   /// sessions rebuild on every cost change, so prefer `incremental` for
   /// arrival streams and `bounded_closure` for one-shot solves.
   bool bounded_closure = false;
-  /// Steady-state row retention window (DESIGN.md §13): how many hub rows
-  /// beyond the current request the closure session keeps warm, most
-  /// recently requested first.  An arrival stream with recurring sources
-  /// (online::OnlineConfig::source_pool) then finds a returning source's
-  /// tree already stored — revalidated against the same delta stream as
-  /// every live row — instead of re-running its Dijkstra.  Retained rows
-  /// cost one repair per price change while they stay in the window, so
-  /// the window trades repair work for build work; 0 disables retention
-  /// (every acquire drops all non-requested rows, the pre-window
-  /// behaviour).  Purely a speed/memory knob: requested-hub trees are
-  /// bit-identical with any window (tested).  Only incremental unbounded
-  /// sessions retain; strict/bounded sessions ignore this.
-  int retention_rows = 256;
   exact::ExactLimits exact_limits;  // the "exact" solver's search budget
 
   /// View for the procedural (core/baselines/dist) layers.
@@ -146,16 +133,12 @@ struct SolveReport {
   int pricing_repriced = 0;  //   chains re-priced this solve
   bool pricing_flushed = false;  //   this solve dropped every cached chain
 
-  /// Retention-window tallies (DESIGN.md §13).  A "row hit" is a requested
-  /// hub whose tree was already stored but was NOT part of the previous
-  /// request — i.e. a Dijkstra the retention window (or union cache)
-  /// saved.  retained counts rows kept warm beyond this request's hubs;
-  /// evicted counts stored rows this acquire dropped (LRU overflow or
-  /// rebuild).  closure_bytes is the session closure's slab footprint
-  /// after the acquire (MetricClosure::memory_bytes).
+  /// Always 0 since the row-retention window was removed (DESIGN.md §13):
+  /// an incremental acquire stores exactly the requested hubs, so no
+  /// requested hub can find a row the previous request did not name.
+  /// Kept for readers of the report layout.  closure_bytes is the session
+  /// closure's slab footprint after the acquire (MetricClosure::memory_bytes).
   int closure_row_hits = 0;
-  int closure_rows_retained = 0;
-  int closure_rows_evicted = 0;
   std::size_t closure_bytes = 0;
 
   double closure_seconds = 0.0;  // hub-tree (re)construction or repair
@@ -173,10 +156,6 @@ struct ClosureRequest {
   /// destinations); ignored when !bounded.  The span must stay alive for
   /// the duration of the acquire call only.
   std::span<const NodeId> settle_targets;
-  /// LRU retention window size (SolverOptions::retention_rows): stored
-  /// rows beyond the requested hubs kept warm by the repair path, most
-  /// recently requested first.  Ignored unless incremental && !bounded.
-  int retention = 0;
 };
 
 /// A published read-only closure epoch (DESIGN.md §10): the immutable
@@ -208,13 +187,14 @@ struct ClosureEpoch {
 /// incremental path feeds to MetricClosure::refresh.
 ///
 /// Outcomes of an incremental acquire (DESIGN.md §8):
-///   * hit        — same structure, same costs, all hubs present: reuse.
-///   * repair     — same structure, few cost deltas: repair every cached
-///                  tree in place and build only the missing hubs.  The
-///                  cached hub set is the UNION of requested sets (an
-///                  arrival stream's VM hubs persist while source hubs
-///                  churn); stale extra hubs are repaired along and are
-///                  invisible to queries.
+///   * hit        — same structure, same costs, all hubs present: reuse
+///                  (rows of hubs the request no longer names are dropped).
+///   * repair     — same structure, few cost deltas: drop the rows of
+///                  unrequested hubs, repair the rest in place and build
+///                  only the missing hubs.
+/// Either way the stored closure afterwards holds exactly the distinct
+/// requested hubs (DESIGN.md §13), so repair work and memory scale with
+/// the request, never with the stream's history.
 ///   * rebuild    — structural change, hub-set cold start, or a delta list
 ///                  above the repair threshold (quarter of the edges: past
 ///                  that the affected regions approach whole trees and a
@@ -300,24 +280,10 @@ class ClosureSession {
   graph::ShortestPathEngine& engine() noexcept { return engine_; }
 
  private:
-  /// The retain keep-list of a repair-path acquire: the requested hubs
-  /// plus up to `retention` stored LRU hubs.  Fills `keep_` (scratch) and
-  /// the report's row-hit/retained/evicted tallies; `stored` answers
-  /// whether a hub currently has a row, `stored_rows` is the row count
-  /// before retention runs.
-  template <typename StoredFn>
-  void plan_retention(const std::vector<NodeId>& hubs, int retention, std::size_t stored_rows,
-                      const StoredFn& stored, SolveReport& report);
-  /// Moves this acquire's hubs to the front of the LRU recency list and
-  /// prunes the tail (bounded by the retention window).
-  void touch_lru(const std::vector<NodeId>& hubs, int retention);
-
   graph::MetricClosure closure_;
   graph::MetricClosure epoch_closure_;  // the published snapshot's row refs
   graph::ShortestPathEngine engine_;
   std::unique_ptr<dist::ShardedClosure> sharded_;  // sharded-mode cache (lazy)
-  std::vector<NodeId> lru_;   // hubs by request recency, most recent first
-  std::vector<NodeId> keep_;  // scratch: retain() keep-list
   bool valid_ = false;
   bool sharded_valid_ = false;
   int sharded_k_ = 0;               // controller count the sharded cache was built for

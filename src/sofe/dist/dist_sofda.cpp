@@ -38,8 +38,8 @@ DistSofdaResult distributed_sofda_with(const core::Problem& p, const ShardedClos
     bus.end_round();
   }
 
-  // --- Per-controller chain pricing against the stitched closure (no
-  // per-pair oracle queries: the closure rows are already exact).  Each
+  // --- Per-controller chain pricing against the stitched closure (its
+  // rows are already exact, so no per-pair distance queries).  Each
   // controller reports its candidates — a chain ships its VM sequence plus
   // its price.
   std::vector<core::PricedChain> candidates;

@@ -1,13 +1,12 @@
 #pragma once
-// Per-domain subgraph materialization shared by the distributed components
+// Per-domain subgraph materialization for the distributed components
 // (Section VI).
 //
-// Both the distance oracle and the sharded closure need the same view of a
-// partition: each controller owns the induced subgraph over its domain's
-// members, with edge ids mapped both ways so global `EdgeCostDelta` batches
-// can be routed to the owning domain and local shortest-path trees can be
-// reported back in global edge ids.  DomainGraphs builds that view once —
-// one pass over the global edge list — and both consumers share it.
+// The sharded closure needs this view of a partition: each controller owns
+// the induced subgraph over its domain's members, with edge ids mapped both
+// ways so global `EdgeCostDelta` batches can be routed to the owning domain
+// and local shortest-path trees can be reported back in global edge ids.
+// DomainGraphs builds that view once — one pass over the global edge list.
 
 #include <vector>
 

@@ -19,7 +19,7 @@
 // ids and CSR arc order all staying identical, and the standard
 // MetricClosure runs on the masked graph.  Exactness (DESIGN.md §11): a
 // global shortest path decomposes into intra-domain segments joined by
-// cross links (the oracle's composition argument); each segment from its
+// cross links; each segment from its
 // entry point is a domain-local canonical chain and is therefore advertised
 // — so the masked graph contains every canonical hub-to-target chain, the
 // masked distances meet the global ones bitwise (same edges folded in the

@@ -2,8 +2,8 @@
 // Reusable shortest-path engine over the CSR adjacency view (DESIGN.md §2).
 //
 // Every solver layer in this library — Procedure-1 metric instances,
-// KMB/Mehlhorn Steiner, SOFDA pricing, the distributed distance oracle, the
-// dynamic-forest operations — bottoms out in Dijkstra.  The free functions in
+// KMB/Mehlhorn Steiner, SOFDA pricing, the sharded multi-controller closure,
+// the dynamic-forest operations — bottoms out in Dijkstra.  The free functions in
 // dijkstra.hpp allocate three O(V) arrays plus a heap per call; on the hot
 // paths (metric closures over dozens of hubs, per-segment shortening sweeps,
 // online arrival streams) that allocation dominates.  The engine owns the
@@ -49,7 +49,7 @@ class ShortestPathEngine {
   explicit ShortestPathEngine(const Graph& g) { attach(g); }
 
   /// (Re)binds the engine to a graph.  Workspaces are kept and only grow, so
-  /// rebinding between graphs (e.g. the distance oracle's per-domain
+  /// rebinding between graphs (e.g. the sharded closure's per-domain
   /// subgraphs) does not thrash the allocator.  The graph must outlive the
   /// engine's use of it.
   void attach(const Graph& g) { g_ = &g; }

@@ -78,11 +78,10 @@ struct OnlineConfig {
   resilience::RecoveryBudget recovery;
   /// Recurring-source mode (DESIGN.md §13): when > 0, every request draws
   /// its sources from ONE pool of this many access nodes, sampled up front
-  /// from the same RNG stream, instead of from the whole topology — the
-  /// steady-state workload where a session's LRU row-retention window pays
-  /// off, because yesterday's source hubs keep coming back.  Must be 0
-  /// (off, the paper's Fig. 12 setting — the request sequence is then
-  /// byte-identical to pre-pool builds) or >= max_sources.
+  /// from the same RNG stream, instead of from the whole topology — a
+  /// steady-state workload where yesterday's source hubs keep coming
+  /// back.  Must be 0 (off, the paper's Fig. 12 setting — the request
+  /// sequence is then byte-identical to pre-pool builds) or >= max_sources.
   int source_pool = 0;
   /// Skew of the recurring-source draw: pool member at popularity rank r
   /// (0-based) is picked with weight 1 / (r + 1)^source_alpha, without
@@ -129,14 +128,10 @@ struct OnlineResult {
   int stale_repriced = 0;       // speculative results discarded and re-solved
   int speculative_commits = 0;  // speculative results that validated as fresh
   double publish_seconds = 0.0; // commit-thread wall spent publishing epochs
-  /// Publisher-session steady-state tallies (DESIGN.md §13), summed over
-  /// every epoch publish: warm-row hits, rows retained/evicted by the
-  /// LRU window, and the peak closure slab footprint.  Zero for the
-  /// sequential driver (its per-solve tallies live on the solver's
-  /// ReportAccumulator) and for solver families without epoch closures.
-  std::size_t closure_row_hits = 0;
-  std::size_t closure_rows_retained = 0;
-  std::size_t closure_rows_evicted = 0;
+  /// Peak closure slab footprint of the publisher session over every
+  /// epoch publish (DESIGN.md §13).  Zero for the sequential driver (its
+  /// per-solve footprint lives on the solver's ReportAccumulator) and for
+  /// solver families without epoch closures.
   std::size_t peak_closure_bytes = 0;
   /// Admission series (DESIGN.md §14), deterministic and compared bitwise
   /// between the two drivers.  `accepted[r]` is 1 iff arrival r was

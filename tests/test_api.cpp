@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <stdexcept>
 
 #include "sofe/api/registry.hpp"
@@ -13,6 +14,7 @@
 #include "sofe/core/sofda_ss.hpp"
 #include "sofe/core/validate.hpp"
 #include "sofe/dist/dist_sofda.hpp"
+#include "sofe/dist/sharded_closure.hpp"
 #include "sofe/exact/solver.hpp"
 #include "sofe/online/simulator.hpp"
 #include "sofe/topology/topology.hpp"
@@ -233,11 +235,11 @@ TEST(Session, StructuralMutationInvalidatesTheClosure) {
   EXPECT_TRUE(forests_equal(f, core::sofda(p)));
 }
 
-TEST(Session, HubSetShrinkReusesTheSupersetClosure) {
-  // Incremental sessions cache the UNION of hub sets: dropping a source
-  // leaves its (now unqueried) tree in place, so the shrunken request is a
-  // pure hit — and the result still matches the free function exactly,
-  // because every tree is an independent Dijkstra.
+TEST(Session, HubSetShrinkIsAPureHit) {
+  // Dropping a source drops its row and leaves every other row untouched,
+  // so the shrunken request is a pure hit — and the result still matches
+  // the free function exactly, because every tree is an independent
+  // Dijkstra.
   auto p = quickstart_instance();
   auto solver = make_solver("sofda");
   (void)solver->solve(p);
@@ -666,54 +668,116 @@ TEST(CowPublish, RetireUnpinsSlabsAndRepairsGoBackInPlace) {
   EXPECT_EQ(live.tree(0).dist, relocated);
 }
 
-TEST(RetentionWindow, LruKeepsRecentRowsEvictsOldestAndCapsAtTheWindow) {
-  auto g = quickstart_instance().network;
-  api::ClosureSession session;
-  api::ClosureRequest req;
-  req.retention = 1;
+// The session memory bound (DESIGN.md §13): after every incremental
+// acquire the stored closure holds exactly the distinct requested hubs, and
+// each requested row is bitwise what a cold MetricClosure::build over the
+// same hubs produces — through a pure hit, a shrinking hit, a repair that
+// adds hubs, a departure-restore batch, a +inf link failure and its heal.
+// `acquire` runs one session acquire and returns the stored closure;
+// `full_rows` compares whole trees (plain sessions) rather than the
+// hub x (hub + target) query contract sharded closures guarantee.
+template <typename AcquireFn>
+void expect_acquires_store_exactly_the_request(const AcquireFn& acquire, bool full_rows) {
+  topology::ProblemConfig cfg;
+  cfg.num_vms = 8;
+  cfg.num_sources = 3;
+  cfg.num_destinations = 4;
+  cfg.seed = 41;
+  auto p = topology::make_problem(topology::softlayer(), cfg);
+  const std::vector<NodeId> vms = p.vms();
+  const std::vector<NodeId> targets = p.destinations;
 
-  api::SolveReport cold;
-  session.acquire(g, {0}, req, cold);  // cold rebuild: nothing retained yet
+  const auto check = [&](const std::vector<NodeId>& hubs, const char* step) -> api::SolveReport {
+    SCOPED_TRACE(step);
+    api::SolveReport rep;
+    const graph::MetricClosure& got = acquire(p.network, hubs, targets, rep);
+    const std::set<NodeId> distinct(hubs.begin(), hubs.end());
+    EXPECT_EQ(got.hub_count(), distinct.size());
+    const std::vector<NodeId> cold_hubs(distinct.begin(), distinct.end());
+    const graph::MetricClosure cold(p.network, cold_hubs, 1);
+    for (NodeId h : cold_hubs) {
+      EXPECT_TRUE(got.is_hub(h)) << "hub " << h;
+      if (!got.is_hub(h)) continue;
+      if (full_rows) {
+        const auto a = got.tree(h).materialize();
+        const auto b = cold.tree(h).materialize();
+        EXPECT_EQ(a.dist, b.dist) << "hub " << h;  // bitwise
+        EXPECT_EQ(a.parent, b.parent) << "hub " << h;
+        EXPECT_EQ(a.parent_edge, b.parent_edge) << "hub " << h;
+        continue;
+      }
+      std::vector<NodeId> queries = cold_hubs;
+      queries.insert(queries.end(), targets.begin(), targets.end());
+      for (NodeId x : queries) {
+        EXPECT_EQ(got.distance(h, x), cold.distance(h, x)) << h << " -> " << x;
+        if (cold.distance(h, x) < graph::kInfiniteCost) {
+          EXPECT_EQ(got.path(h, x), cold.path(h, x)) << h << " -> " << x;
+        }
+      }
+    }
+    return rep;
+  };
 
-  api::SolveReport second;
-  session.acquire(g, {5}, req, second);  // extends 5, retains 0 (window cap 1)
-  EXPECT_EQ(second.closure_row_hits, 0);
-  EXPECT_EQ(second.closure_rows_retained, 1);
-  EXPECT_EQ(second.closure_rows_evicted, 0);
+  // Cold build; the request lists a source twice.
+  std::vector<NodeId> hubs = vms;
+  hubs.insert(hubs.end(), {p.sources[0], p.sources[1], p.sources[0]});
+  EXPECT_FALSE(check(hubs, "cold").closure_repaired);
+  EXPECT_TRUE(check(hubs, "pure hit").closure_cache_hit);
 
-  api::SolveReport third;
-  session.acquire(g, {7}, req, third);  // retains 5 (most recent), evicts 0
-  EXPECT_EQ(third.closure_row_hits, 0);
-  EXPECT_EQ(third.closure_rows_retained, 1);
-  EXPECT_EQ(third.closure_rows_evicted, 1);
+  std::vector<NodeId> fewer = vms;
+  fewer.push_back(p.sources[0]);
+  EXPECT_TRUE(check(fewer, "shrinking hit").closure_cache_hit);
 
-  api::SolveReport returning;
-  session.acquire(g, {5}, req, returning);  // 5 was kept warm: a row hit
-  EXPECT_EQ(returning.closure_row_hits, 1);
+  // An arrival charges a few links while the request swaps source 0 for
+  // sources 1 (dropped by the shrinking hit), 2 and a destination hub.
+  const std::vector<core::EdgeId> charged{2, 9, 17, 23};
+  std::vector<core::Cost> before;
+  for (core::EdgeId e : charged) {
+    before.push_back(p.network.edge(e).cost);
+    p.network.set_edge_cost(e, p.network.edge(e).cost * 1.5 + 0.125);
+  }
+  std::vector<NodeId> churned = vms;
+  churned.insert(churned.end(), {p.sources[1], p.sources[2], p.destinations[0]});
+  const api::SolveReport added = check(churned, "repair adding hubs");
+  EXPECT_TRUE(added.closure_repaired);
+  EXPECT_EQ(added.closure_hubs_added, 3);
 
-  api::SolveReport evicted;
-  session.acquire(g, {0}, req, evicted);  // 0 fell out of the window: cold
-  EXPECT_EQ(evicted.closure_row_hits, 0);
+  // A departure restores the charged costs.
+  for (std::size_t i = 0; i < charged.size(); ++i) {
+    p.network.set_edge_cost(charged[i], before[i]);
+  }
+  EXPECT_TRUE(check(churned, "departure restore").closure_repaired);
+
+  // A link fails (+inf) and later heals.
+  const core::EdgeId failed = 5;
+  const core::Cost healthy = p.network.edge(failed).cost;
+  p.network.set_edge_cost(failed, graph::kInfiniteCost);
+  EXPECT_TRUE(check(hubs, "+inf failure").closure_repaired);
+  p.network.set_edge_cost(failed, healthy);
+  EXPECT_TRUE(check(hubs, "heal").closure_repaired);
 }
 
-TEST(RetentionWindow, ZeroRetentionKeepsStrictRequestRows) {
-  auto g = quickstart_instance().network;
+TEST(SessionMemoryBound, PlainAcquireStoresExactlyTheRequestedHubs) {
   api::ClosureSession session;
-  api::ClosureRequest req;  // retention = 0
+  expect_acquires_store_exactly_the_request(
+      [&](const core::Graph& g, const std::vector<NodeId>& hubs, const std::vector<NodeId>&,
+          api::SolveReport& rep) -> const graph::MetricClosure& {
+        return session.acquire(g, hubs, api::ClosureRequest{}, rep);
+      },
+      /*full_rows=*/true);
+}
 
-  api::SolveReport first;
-  const graph::MetricClosure& live = session.acquire(g, {0}, req, first);
-
-  api::SolveReport second;
-  session.acquire(g, {5}, req, second);
-  EXPECT_EQ(second.closure_rows_retained, 0);
-  EXPECT_EQ(second.closure_rows_evicted, 1);
-  EXPECT_FALSE(live.is_hub(0));
-  EXPECT_TRUE(live.is_hub(5));
-
-  api::SolveReport back;
-  session.acquire(g, {0}, req, back);  // dropped, so no warm row to hit
-  EXPECT_EQ(back.closure_row_hits, 0);
+TEST(SessionMemoryBound, ShardedAcquireStoresExactlyTheRequestedHubs) {
+  api::ClosureSession session;
+  dist::MessageBus bus;
+  expect_acquires_store_exactly_the_request(
+      [&](const core::Graph& g, const std::vector<NodeId>& hubs,
+          const std::vector<NodeId>& targets, api::SolveReport& rep) -> const graph::MetricClosure& {
+        api::ClosureRequest req;
+        req.settle_targets = targets;
+        return session.acquire_sharded(g, hubs, /*controllers=*/2, req, bus, rep).closure();
+      },
+      /*full_rows=*/false);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Multi-controller tests (Section VI): partition sanity, oracle exactness
-// (composed inter-domain distances == global Dijkstra), message accounting,
-// and distributed-vs-centralized SOFDA equivalence.
+// Multi-controller tests (Section VI): partition sanity, sharded-closure
+// exactness (stitched rows == the global closure, bitwise), message
+// accounting, and distributed-vs-centralized SOFDA equivalence.
 
 #include <gtest/gtest.h>
 
@@ -12,9 +12,7 @@
 #include "sofe/core/sofda.hpp"
 #include "sofe/core/validate.hpp"
 #include "sofe/dist/dist_sofda.hpp"
-#include "sofe/dist/oracle.hpp"
 #include "sofe/dist/sharded_closure.hpp"
-#include "sofe/graph/dijkstra.hpp"
 #include "sofe/graph/metric_closure.hpp"
 #include "sofe/topology/topology.hpp"
 
@@ -86,60 +84,6 @@ TEST(Partition, BordersTouchOtherDomains) {
       EXPECT_TRUE(crosses) << "border node " << b << " has no cross-domain link";
     }
   }
-}
-
-class OracleExactness : public ::testing::TestWithParam<int> {};
-
-TEST_P(OracleExactness, ComposedDistancesEqualGlobalDijkstra) {
-  const int k = GetParam();
-  const auto topo = topology::softlayer();
-  MessageBus bus;
-  const auto part = partition_bfs(topo.g, k);
-  DistanceOracle oracle(topo.g, part, bus);
-  // Spot-check a grid of pairs against global Dijkstra.
-  for (NodeId x = 0; x < topo.g.node_count(); x += 3) {
-    const auto sp = graph::dijkstra(topo.g, x);
-    for (NodeId y = 0; y < topo.g.node_count(); y += 5) {
-      EXPECT_NEAR(oracle.distance(x, y), sp.distance(y), 1e-9)
-          << "pair (" << x << ", " << y << ") with " << k << " domains";
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Domains, OracleExactness, ::testing::Values(1, 2, 3, 4, 6));
-
-TEST(Oracle, StitchedPathsAreRealAndTight) {
-  const auto topo = topology::cogent();
-  MessageBus bus;
-  const auto part = partition_bfs(topo.g, 4);
-  DistanceOracle oracle(topo.g, part, bus);
-  for (NodeId x = 0; x < topo.g.node_count(); x += 37) {
-    const auto sp = graph::dijkstra(topo.g, x);
-    for (NodeId y = 1; y < topo.g.node_count(); y += 41) {
-      const auto path = oracle.path(x, y);
-      ASSERT_EQ(path.front(), x);
-      ASSERT_EQ(path.back(), y);
-      graph::Cost c = 0.0;
-      for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-        const auto e = topo.g.find_edge(path[i], path[i + 1]);
-        ASSERT_NE(e, graph::kInvalidEdge) << "stitched path uses a phantom link";
-        c += topo.g.edge(e).cost;
-      }
-      EXPECT_NEAR(c, sp.distance(y), 1e-9) << "stitched path is not shortest";
-    }
-  }
-}
-
-TEST(Oracle, MatrixExchangeCounted) {
-  const auto topo = topology::softlayer();
-  MessageBus bus;
-  const auto part = partition_bfs(topo.g, 3);
-  DistanceOracle oracle(topo.g, part, bus);
-  // 3 controllers broadcast to 2 peers each.
-  EXPECT_EQ(bus.messages(), 6u);
-  EXPECT_EQ(bus.rounds(), 1);
-  (void)oracle.distance(0, 26);
-  EXPECT_GE(bus.messages(), 6u);
 }
 
 TEST(DistributedSofda, MatchesCentralizedCertificate) {
@@ -232,39 +176,6 @@ TEST(Partition, DisconnectedGraphStaysCovering) {
   }
 }
 
-TEST(Oracle, ExactWithSingleNodeDomains) {
-  // ring(5) with 3 controllers yields a mixed partition with single-node
-  // domains; all-pairs composed distances must still equal global Dijkstra.
-  const auto topo = topology::ring(5);
-  MessageBus bus;
-  const auto part = partition_bfs(topo.g, 3);
-  bool has_singleton = false;
-  for (const auto& m : part.members) has_singleton |= (m.size() == 1);
-  ASSERT_TRUE(has_singleton) << "partition no longer produces a single-node domain";
-  DistanceOracle oracle(topo.g, part, bus);
-  for (NodeId x = 0; x < topo.g.node_count(); ++x) {
-    const auto sp = graph::dijkstra(topo.g, x);
-    for (NodeId y = 0; y < topo.g.node_count(); ++y) {
-      EXPECT_NEAR(oracle.distance(x, y), sp.distance(y), 1e-9);
-    }
-  }
-}
-
-TEST(Oracle, ExactWhenEveryDomainIsOneNode) {
-  // The degenerate overlay: the overlay *is* the graph (every node a border,
-  // every link a cross link); composition must reduce to plain Dijkstra.
-  const auto topo = topology::grid(3, 3);
-  MessageBus bus;
-  const auto part = partition_bfs(topo.g, static_cast<int>(topo.g.node_count()));
-  DistanceOracle oracle(topo.g, part, bus);
-  for (NodeId x = 0; x < topo.g.node_count(); ++x) {
-    const auto sp = graph::dijkstra(topo.g, x);
-    for (NodeId y = 0; y < topo.g.node_count(); ++y) {
-      EXPECT_NEAR(oracle.distance(x, y), sp.distance(y), 1e-9);
-    }
-  }
-}
-
 TEST(DistributedSofda, AllSourcesInOneDomain) {
   // Every source administered by a single controller: the other controllers
   // contribute no candidates, yet the merged pipeline must still reproduce
@@ -346,6 +257,41 @@ TEST_P(ShardedClosureBitIdentity, MatchesGlobalClosure) {
   sc2.build(p.network, partition_bfs(p.network, kk), hubs, p.destinations, threads, bus2,
             /*bounded=*/false);
   expect_rows_bitwise_equal(sc2.closure(), global, hubs, p.destinations, "unbounded");
+}
+
+TEST_P(ShardedClosureBitIdentity, ExactOnSmallGraphsWithSingleNodeDomains) {
+  // The partition edge cases, all-pairs: every node is a hub, so the
+  // stitched rows must reproduce the global closure on every pair.  On
+  // ring(5), k = 4 mixes single-node and multi-node domains; at k = |V|
+  // every domain is one node — on grid(3,3) the overlay then IS the graph
+  // (every node a border, every link a cross link).
+  const auto [k, threads] = GetParam();
+  const topology::Topology ring = topology::ring(5);
+  const topology::Topology grid = topology::grid(3, 3);
+  for (const topology::Topology* topo : {&ring, &grid}) {
+    const Graph& g = topo->g;
+    const int kk = k > 0 ? k : static_cast<int>(g.node_count());
+    const auto part = partition_bfs(g, kk);
+    std::size_t singletons = 0;
+    for (const auto& m : part.members) singletons += m.size() == 1 ? 1 : 0;
+    if (k == 0) {
+      EXPECT_EQ(singletons, static_cast<std::size_t>(g.node_count()));
+    }
+    if (k == 4 && topo == &ring) {
+      EXPECT_GT(singletons, 0u);
+      EXPECT_LT(singletons, part.members.size()) << "ring(5) at k=4 should mix domain sizes";
+    }
+
+    std::vector<NodeId> hubs(static_cast<std::size_t>(g.node_count()));
+    for (NodeId v = 0; v < g.node_count(); ++v) hubs[static_cast<std::size_t>(v)] = v;
+    const graph::MetricClosure global(g, hubs, 1);
+    for (bool bounded : {true, false}) {
+      MessageBus bus;
+      ShardedClosure sc;
+      sc.build(g, part, hubs, {}, threads, bus, bounded);
+      expect_rows_bitwise_equal(sc.closure(), global, hubs, {}, topo == &ring ? "ring" : "grid");
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(KTimesThreads, ShardedClosureBitIdentity,
@@ -499,56 +445,6 @@ TEST(ShardedClosure, ExtendAddsHubRowsIncrementally) {
   expect_rows_bitwise_equal(sc.closure(), global, hubs, p.destinations, "re-extend");
   EXPECT_EQ(sc.stats().exchanged_entries, entries_first)
       << "re-extending a warm hub should not re-ship rows";
-}
-
-TEST(ShardedClosure, RetentionWindowServesReturningHubsWithoutReExchange) {
-  // The session-level steady state (DESIGN.md §13): a source hub leaves
-  // the request set, the LRU retention window keeps its rows — local roots
-  // AND the stitched row — warm through the delta stream, and when the hub
-  // returns it is served as a row hit with ZERO additional exchanged
-  // entries (extending the warm-local-roots property of the retain/extend
-  // test above to the whole acquire path).
-  auto p = sharded_problem(55);
-  auto hubs = hub_set(p);
-  const NodeId late = hubs.back();
-  const std::vector<NodeId> without(hubs.begin(), hubs.end() - 1);
-
-  api::ClosureSession session;
-  api::ClosureRequest req;
-  req.threads = 2;
-  req.retention = 8;
-  req.settle_targets = std::span<const NodeId>(p.destinations);
-  MessageBus bus;
-
-  api::SolveReport cold;
-  session.acquire_sharded(p.network, hubs, 3, req, bus, cold);
-  EXPECT_FALSE(cold.closure_cache_hit);
-
-  // The hub leaves; a price move forces the repair path.  The window
-  // retains the hub's rows instead of evicting them, and the refresh
-  // revalidates everything kept against the delta batch.
-  p.network.set_edge_cost(0, p.network.edge(0).cost * 2.0);
-  api::SolveReport drop;
-  const auto& repaired = session.acquire_sharded(p.network, without, 3, req, bus, drop);
-  ASSERT_TRUE(drop.closure_repaired);
-  EXPECT_EQ(drop.closure_rows_retained, 1);
-  EXPECT_EQ(drop.closure_rows_evicted, 0);
-  ASSERT_TRUE(repaired.closure().is_hub(late)) << "retained hub lost its stitched row";
-  const std::size_t entries_after_drop = repaired.stats().exchanged_entries;
-
-  // The hub returns with prices unchanged: every requested row is already
-  // stored and repaired, so the acquire hits, counts the comeback as a
-  // row hit, ships nothing — and the answers are bitwise the global
-  // closure's.
-  api::SolveReport back;
-  const auto& warm = session.acquire_sharded(p.network, hubs, 3, req, bus, back);
-  EXPECT_TRUE(back.closure_cache_hit);
-  EXPECT_EQ(back.closure_row_hits, 1);
-  EXPECT_EQ(warm.stats().exchanged_entries, entries_after_drop)
-      << "a returning retained hub must not re-ship rows";
-
-  const graph::MetricClosure global(p.network, hubs, 1);
-  expect_rows_bitwise_equal(warm.closure(), global, hubs, p.destinations, "retention");
 }
 
 TEST(DistributedSofda, CertificateBitwiseIdenticalAcrossKAndThreads) {

@@ -73,14 +73,12 @@ TEST(PipelineDeterminism, MatchesSequentialDriverAcrossWorkersEpochsHolding) {
   }
 }
 
-// PR 9's knob contract (DESIGN.md §13): the LRU row-retention window is —
-// like threads, workers and epoch size — a pure speed/memory knob.  The
-// fuzz drives the steady-state scenario where the window actually engages
-// (sources recurring from a fixed Zipf-ish pool, departures churning the
-// ledger both ways) across retention {off, tiny, default} × closure
-// threads × pipeline workers on two topologies, and demands every series
-// bitwise equal to the plain-defaults sequential reference.
-TEST(PipelineDeterminism, RetentionWindowIsAPureSpeedKnobAcrossThreadsAndWorkers) {
+// The steady-state scenario (DESIGN.md §13): sources recurring from a
+// fixed Zipf-ish pool, departures churning the ledger both ways, so source
+// hubs churn in and out of every session closure.  Closure threads and
+// pipeline workers stay pure speed knobs there on two topologies: every
+// series is bitwise equal to the plain-defaults sequential reference.
+TEST(PipelineDeterminism, RecurringSourcesArePureAcrossThreadsAndWorkers) {
   const topology::Topology topos[] = {topology::softlayer(), topology::inet(40, 80, 8, 7)};
   for (const auto& topo : topos) {
     for (int holding : {0, 8}) {
@@ -90,25 +88,20 @@ TEST(PipelineDeterminism, RetentionWindowIsAPureSpeedKnobAcrossThreadsAndWorkers
       cfg.source_pool = 6;
       cfg.source_alpha = 1.0;
       const OnlineResult ref = sequential_reference(topo, cfg);
-      for (int retention : {0, 8, 256}) {
-        api::SolverOptions opt;
-        opt.retention_rows = retention;
-        for (int threads : {1, 2, 8}) {
-          opt.threads = threads;
-          auto solver = api::make_solver("sofda", opt);
-          SCOPED_TRACE(topo.name + " holding=" + std::to_string(holding) +
-                       " retention=" + std::to_string(retention) +
-                       " threads=" + std::to_string(threads));
-          expect_series_identical(ref, simulate(topo, cfg, *solver));
-        }
-        for (int workers : {1, 2, 8}) {
-          PipelineOptions popt;
-          popt.workers = workers;
-          SCOPED_TRACE(topo.name + " holding=" + std::to_string(holding) +
-                       " retention=" + std::to_string(retention) +
-                       " workers=" + std::to_string(workers));
-          expect_series_identical(ref, serve_pipelined(topo, cfg, "sofda", opt, popt));
-        }
+      api::SolverOptions opt;
+      for (int threads : {1, 2, 8}) {
+        opt.threads = threads;
+        auto solver = api::make_solver("sofda", opt);
+        SCOPED_TRACE(topo.name + " holding=" + std::to_string(holding) +
+                     " threads=" + std::to_string(threads));
+        expect_series_identical(ref, simulate(topo, cfg, *solver));
+      }
+      for (int workers : {1, 2, 8}) {
+        PipelineOptions popt;
+        popt.workers = workers;
+        SCOPED_TRACE(topo.name + " holding=" + std::to_string(holding) +
+                     " workers=" + std::to_string(workers));
+        expect_series_identical(ref, serve_pipelined(topo, cfg, "sofda", opt, popt));
       }
     }
   }
