@@ -39,14 +39,22 @@ ChainPlan plan_chain_walk_on(const Problem& p, const graph::MetricClosure& closu
   const auto stroll = kstroll::solve_stroll(inst, k, opt.stroll);
   if (!stroll.feasible()) return plan;
 
-  // Lift: concatenate shortest paths between consecutive stroll nodes.
-  plan.nodes = {inst.source};
+  // Lift: concatenate shortest paths between consecutive stroll nodes.  Each
+  // segment is closure.path(a, b) minus a, built in place: append tree(a)'s
+  // parent walk from b up to (not including) a, then reverse that run.
+  plan.nodes.push_back(inst.source);
+  plan.vnf_pos.reserve(stroll.order.size() - 1);
   for (std::size_t i = 0; i + 1 < stroll.order.size(); ++i) {
     const NodeId a = inst.nodes[stroll.order[i]];
     const NodeId b = inst.nodes[stroll.order[i + 1]];
-    const auto path = closure.path(a, b);
-    assert(path.front() == a && path.back() == b);
-    plan.nodes.insert(plan.nodes.end(), path.begin() + 1, path.end());
+    const auto tree = closure.tree(a);
+    assert(tree.reachable(b));
+    const std::size_t start = plan.nodes.size();
+    for (NodeId v = b; v != a; v = tree.parent[static_cast<std::size_t>(v)]) {
+      assert(v != graph::kInvalidNode);
+      plan.nodes.push_back(v);
+    }
+    std::reverse(plan.nodes.begin() + static_cast<std::ptrdiff_t>(start), plan.nodes.end());
     plan.vnf_pos.push_back(plan.nodes.size() - 1);  // b hosts f_{i+1}
   }
   assert(plan.nodes.back() == inst.last_vm);

@@ -28,7 +28,9 @@ StrollInstance build_stroll_instance(const Graph& g, const MetricClosure& closur
   const Cost cu = node_cost[static_cast<std::size_t>(u)];
   auto setup = [&](NodeId v) { return node_cost[static_cast<std::size_t>(v)]; };
 
-  inst.cost.assign(n, std::vector<Cost>(n, 0.0));
+  inst.storage.assign(n * n, 0.0);
+  inst.rows.resize(n);
+  for (std::size_t a = 0; a < n; ++a) inst.rows[a] = inst.storage.data() + a * n;
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = a + 1; b < n; ++b) {
       const NodeId v1 = inst.nodes[a];
@@ -63,7 +65,7 @@ StrollInstance build_stroll_instance(const Graph& g, const MetricClosure& closur
           share = (setup(v1) + setup(v2)) / 2.0;
         }
       }
-      inst.cost[a][b] = inst.cost[b][a] = base + share;
+      inst.storage[a * n + b] = inst.storage[b * n + a] = base + share;
     }
   }
   return inst;

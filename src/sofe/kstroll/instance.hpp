@@ -30,19 +30,42 @@ using graph::Graph;
 using graph::MetricClosure;
 using graph::NodeId;
 
-/// Dense metric k-stroll instance ("G-cal" in the paper).
+/// Dense metric k-stroll instance ("G-cal" in the paper), read through row
+/// pointers: rows[a][b] == c(a, b).
+///
+/// Row-view contract (DESIGN.md §9).  The solvers read every edge off the
+/// row of one of its endpoints and never with the source as the column:
+/// the source is always the first stroll node, so a lookup that involves it
+/// reads row 0.  Column 0 of a VM row is therefore never read, and an
+/// instance may leave it unwritten — InstanceAssembler points rows 1..m at a
+/// shared block whose column 0 is reserved.  Both builders write bitwise
+/// symmetric matrices, so reading c(x, b) as rows[b][x] (a contiguous scan
+/// over x) returns the very double the column read did.
+///
+/// Move-only: an owned instance's rows point into its own `storage`, which
+/// a move carries along and a copy would not.
 struct StrollInstance {
   NodeId source = graph::kInvalidNode;   // s in G
   NodeId last_vm = graph::kInvalidNode;  // u in G
   std::vector<NodeId> nodes;             // instance nodes; nodes[0] == s
   std::size_t last_index = 0;            // index of u in `nodes`
-  std::vector<std::vector<Cost>> cost;   // dense symmetric cost matrix
+  std::vector<const Cost*> rows;         // rows[a][b] == c(a, b) (contract above)
+  std::vector<Cost> storage;             // row-major n x n backing of an owned
+                                         // instance; empty when rows are borrowed
+
+  StrollInstance() = default;
+  StrollInstance(StrollInstance&&) noexcept = default;
+  StrollInstance& operator=(StrollInstance&&) noexcept = default;
+  StrollInstance(const StrollInstance&) = delete;
+  StrollInstance& operator=(const StrollInstance&) = delete;
 
   std::size_t size() const noexcept { return nodes.size(); }
 
+  /// c(a, b) for any pair (diagnostics/tests).  Column 0 is read off the
+  /// source row, so this also holds for instances that leave it unwritten.
   Cost edge_cost(std::size_t a, std::size_t b) const {
     assert(a < size() && b < size());
-    return cost[a][b];
+    return b == 0 ? rows[0][a] : rows[a][b];
   }
 
   /// Cost of a simple path through instance indices (diagnostics/tests).
@@ -53,7 +76,7 @@ struct StrollInstance {
   }
 };
 
-/// Builds the Procedure-1 instance.
+/// Builds the Procedure-1 instance, owning its full symmetric matrix.
 ///
 /// `closure` must contain Dijkstra trees for s and every VM in `vms`.
 /// `node_cost[v]` is the setup cost c(v).  `source_setup` is the Appendix-D

@@ -8,7 +8,8 @@ namespace sofe::kstroll {
 void SharedVmBlock::build(const MetricClosure& closure, const std::vector<NodeId>& vms,
                           const std::vector<Cost>& node_cost) {
   m_ = vms.size();
-  values_.assign(m_ * m_, 0.0);
+  const std::size_t stride = m_ + 1;
+  values_.assign(m_ * stride, 0.0);
   for (std::size_t i = 0; i < m_; ++i) {
     // One tree lookup per ROW (the per-pair builder pays one per entry);
     // entry (i, j < i) was already written by row j's pass.
@@ -19,7 +20,7 @@ void SharedVmBlock::build(const MetricClosure& closure, const std::vector<NodeId
       // distance from the lower-indexed node's tree plus the shared setup.
       const Cost base = row.distance(vms[j]);
       const Cost share = (ci + node_cost[static_cast<std::size_t>(vms[j])]) / 2.0;
-      values_[i * m_ + j] = values_[j * m_ + i] = base + share;
+      values_[i * stride + j + 1] = values_[j * stride + i + 1] = base + share;
     }
   }
   valid_ = true;
@@ -41,15 +42,10 @@ void InstanceAssembler::bind_source(const SharedVmBlock& block, const MetricClos
   inst_.nodes.push_back(s);
   inst_.nodes.insert(inst_.nodes.end(), vms.begin(), vms.end());
 
-  inst_.cost.resize(n);
-  for (auto& row : inst_.cost) row.resize(n);
-  inst_.cost[0][0] = 0.0;
-  const std::vector<Cost>& block_values = block.values();
-  for (std::size_t i = 0; i < m; ++i) {
-    std::copy(block_values.begin() + static_cast<std::ptrdiff_t>(i * m),
-              block_values.begin() + static_cast<std::ptrdiff_t>((i + 1) * m),
-              inst_.cost[i + 1].begin() + 1);
-  }
+  source_row_.assign(n, 0.0);
+  inst_.rows.resize(n);
+  inst_.rows[0] = source_row_.data();
+  for (std::size_t i = 0; i < m; ++i) inst_.rows[i + 1] = block.row(i);
 
   const auto& source_tree = closure.tree(s);
   base_row_.resize(m);
@@ -65,8 +61,9 @@ const StrollInstance& InstanceAssembler::with_last_vm(std::size_t vm_index, Node
   const Cost cu = node_cost[static_cast<std::size_t>(u)];
   for (std::size_t j = 0; j < m; ++j) {
     // build_stroll_instance's v1 == s branch: base + (c(u) + c(v2)) / 2.
+    // Column 0 of the VM rows (the mirrored entry) is never read.
     const Cost share = (cu + node_cost[static_cast<std::size_t>(inst_.nodes[j + 1])]) / 2.0;
-    inst_.cost[0][j + 1] = inst_.cost[j + 1][0] = base_row_[j] + share;
+    source_row_[j + 1] = base_row_[j] + share;
   }
   inst_.last_vm = u;
   inst_.last_index = vm_index + 1;

@@ -14,13 +14,14 @@
 //     pair instead of O(|M|²).
 //
 // build_stroll_instance recomputes the full matrix per pair — with one
-// closure hash lookup per entry and |M|+1 vector allocations per call.  On
-// an online arrival stream that construction dominates SOFDA's wall clock;
-// the classes here assemble bitwise-identical instances (tested) from a
-// session-cached block: SharedVmBlock is rebuilt only when a VM's setup
-// cost or a closure row changed at a VM, InstanceAssembler copies it once
-// per source and rewrites only the source row per last VM, reusing all
-// storage.  core::PricingSession drives both across arrivals.
+// closure hash lookup per entry and an n x n allocation per call.  On an
+// online arrival stream that construction dominates SOFDA's wall clock;
+// the classes here assemble instances that read bitwise the same
+// (tested) from a session-cached block: SharedVmBlock is rebuilt only when
+// a VM's setup cost or a closure row changed at a VM, InstanceAssembler
+// points the VM rows straight at it (no per-source copy) and rewrites only
+// the contiguous source row per last VM.  core::PricingSession drives
+// both across arrivals.
 
 #include <vector>
 
@@ -29,9 +30,11 @@
 namespace sofe::kstroll {
 
 /// The source-independent (VM, VM) sub-matrix of every main-construction
-/// Procedure-1 instance: values()[i * size() + j] is the instance edge cost
-/// between vms[i] and vms[j] (0 on the diagonal).  Entry (i, j) with i < j
-/// reads closure.tree(vms[i]) exactly like build_stroll_instance reads the
+/// Procedure-1 instance, stored as the VM rows of that instance: row(i)[j+1]
+/// is the instance edge cost between vms[i] and vms[j] (0 on the diagonal),
+/// and row(i)[0] — the source column, never read under the row-view
+/// contract (instance.hpp) — is reserved.  Entry (i, j) with i < j reads
+/// closure.tree(vms[i]) exactly like build_stroll_instance reads the
 /// lower-indexed instance node's row, so the block is bitwise what the
 /// per-pair build computes.
 class SharedVmBlock {
@@ -46,32 +49,36 @@ class SharedVmBlock {
 
   bool valid() const noexcept { return valid_; }
 
-  /// Number of VMs the block covers (row/column count).
+  /// Number of VMs the block covers (row count).
   std::size_t size() const noexcept { return m_; }
 
-  /// Row-major size() x size() values; meaningful only while valid().
-  const std::vector<Cost>& values() const noexcept { return values_; }
+  /// Row of vms[i] in instance columns (size() + 1 entries, column 0
+  /// reserved); meaningful only while valid().  A rebuild may move it.
+  const Cost* row(std::size_t i) const noexcept { return values_.data() + i * (m_ + 1); }
 
  private:
-  std::vector<Cost> values_;
+  std::vector<Cost> values_;  // size() rows at stride size() + 1
   std::size_t m_ = 0;
   bool valid_ = false;
 };
 
-/// Per-thread workspace that assembles the full StrollInstance for one
-/// (source, last VM) pair from a SharedVmBlock: bind_source() copies the
-/// block and reads the source's base distances once, with_last_vm()
-/// rewrites only the source row/column and the last index.  The returned
-/// instance is bitwise equal to
+/// Per-thread workspace that assembles the StrollInstance for one
+/// (source, last VM) pair over a SharedVmBlock: bind_source() points rows
+/// 1..m straight at the block (which stays read-only, shared by every
+/// worker) and reads the source's base distances once, with_last_vm()
+/// rewrites only the contiguous source row and the last index.  Every
+/// entry the solvers read (row 0 in full, rows >= 1 at columns >= 1) is
+/// bitwise equal to
 ///   build_stroll_instance(g, closure, s, vms, u, node_cost, 0.0)
 /// for every u (tested) — preconditions: s ∉ vms and zero source setup
 /// (callers with s ∈ vms or Appendix-D source costs use the per-pair
 /// builder instead).
 class InstanceAssembler {
  public:
-  /// Binds the workspace to source `s`: nodes become [s] + vms, the VM
-  /// block is copied in, and d(s, vms[j]) is read from closure.tree(s).
-  /// `block` must be valid and built over this same `vms`/`closure` state.
+  /// Binds the workspace to source `s`: nodes become [s] + vms, the VM rows
+  /// borrow `block`, and d(s, vms[j]) is read from closure.tree(s).
+  /// `block` must be valid, built over this same `vms`/`closure` state, and
+  /// stay unmodified while the binding is used.
   void bind_source(const SharedVmBlock& block, const MetricClosure& closure,
                    const std::vector<NodeId>& vms, NodeId s);
 
@@ -85,8 +92,9 @@ class InstanceAssembler {
                                      const std::vector<Cost>& node_cost);
 
  private:
-  StrollInstance inst_;
-  std::vector<Cost> base_row_;  // d(s, vms[j]), read once per bind
+  StrollInstance inst_;           // rows 1..m borrowed from the bound block
+  std::vector<Cost> source_row_;  // row 0: c(s, ·) for the current last VM
+  std::vector<Cost> base_row_;    // d(s, vms[j]), read once per bind
   bool bound_ = false;
 };
 

@@ -11,9 +11,36 @@ namespace {
 
 constexpr std::size_t kSourceIndex = 0;
 
+/// One gap a -> b of a partial stroll, as the insertion scan reads it.
+struct Gap {
+  const Cost* from;  // rows[a]
+  const Cost* to;    // rows[b]
+  Cost cost;         // c(a, b)
+};
+
+/// Per-thread scratch reused across solves (pricing runs one per (source,
+/// last VM) pair): instance-node membership marks and the insertion gaps.
+struct Scratch {
+  std::vector<std::uint8_t> used;
+  std::vector<Gap> gaps;
+};
+
+Scratch& scratch() {
+  thread_local Scratch s;
+  return s;
+}
+
+/// Marks exactly the nodes of `order` among the instance's n.
+std::vector<std::uint8_t>& mark_used(const std::vector<std::size_t>& order, std::size_t n) {
+  std::vector<std::uint8_t>& used = scratch().used;
+  used.assign(n, 0);
+  for (std::size_t x : order) used[x] = 1;
+  return used;
+}
+
 Cost recompute(const StrollInstance& inst, const std::vector<std::size_t>& order) {
   Cost sum = 0.0;
-  for (std::size_t i = 0; i + 1 < order.size(); ++i) sum += inst.edge_cost(order[i], order[i + 1]);
+  for (std::size_t i = 0; i + 1 < order.size(); ++i) sum += inst.rows[order[i]][order[i + 1]];
   return sum;
 }
 
@@ -22,23 +49,32 @@ Cost recompute(const StrollInstance& inst, const std::vector<std::size_t>& order
 Stroll cheapest_insertion(const StrollInstance& inst, int k) {
   assert(k >= 2);
   const std::size_t n = inst.size();
-  if (n < static_cast<std::size_t>(k) || inst.last_index == kSourceIndex) return {};
+  const auto want = static_cast<std::size_t>(k);
+  if (n < want || inst.last_index == kSourceIndex) return {};
 
   Stroll s;
-  s.order = {kSourceIndex, inst.last_index};
-  std::vector<bool> used(n, false);
-  used[kSourceIndex] = used[inst.last_index] = true;
+  s.order.reserve(want);
+  s.order.push_back(kSourceIndex);
+  s.order.push_back(inst.last_index);
+  std::vector<std::uint8_t>& used = mark_used(s.order, n);
+  std::vector<Gap>& gaps = scratch().gaps;
 
-  while (s.order.size() < static_cast<std::size_t>(k)) {
-    // Pick (node, gap) with minimal insertion delta.
+  while (s.order.size() < want) {
+    // Pick (node, gap) with minimal insertion delta, scanning x-major so the
+    // first minimum wins.  Gap g runs a -> b; inserting x there costs
+    // c(a, x) + c(x, b) - c(a, b), read as rows[a][x] + rows[b][x] so both
+    // reads stream along a row as x advances.
+    gaps.clear();
+    for (std::size_t gap = 0; gap + 1 < s.order.size(); ++gap) {
+      const Cost* from = inst.rows[s.order[gap]];
+      gaps.push_back({from, inst.rows[s.order[gap + 1]], from[s.order[gap + 1]]});
+    }
     Cost best_delta = graph::kInfiniteCost;
     std::size_t best_node = n, best_gap = 0;
     for (std::size_t x = 0; x < n; ++x) {
       if (used[x]) continue;
-      for (std::size_t gap = 0; gap + 1 < s.order.size(); ++gap) {
-        const std::size_t a = s.order[gap];
-        const std::size_t b = s.order[gap + 1];
-        const Cost delta = inst.edge_cost(a, x) + inst.edge_cost(x, b) - inst.edge_cost(a, b);
+      for (std::size_t gap = 0; gap < gaps.size(); ++gap) {
+        const Cost delta = gaps[gap].from[x] + gaps[gap].to[x] - gaps[gap].cost;
         if (delta < best_delta) {
           best_delta = delta;
           best_node = x;
@@ -46,9 +82,10 @@ Stroll cheapest_insertion(const StrollInstance& inst, int k) {
         }
       }
     }
-    assert(best_node < n);
+    // No finite insertion: fewer than k nodes are reachable.  Infeasible.
+    if (best_node == n) return {};
     s.order.insert(s.order.begin() + static_cast<std::ptrdiff_t>(best_gap) + 1, best_node);
-    used[best_node] = true;
+    used[best_node] = 1;
   }
   s.cost = recompute(inst, s.order);
   improve_stroll(inst, s);
@@ -59,8 +96,9 @@ void improve_stroll(const StrollInstance& inst, Stroll& s) {
   const std::size_t n = inst.size();
   const std::size_t m = s.order.size();
   if (m < 3) return;
-  std::vector<bool> used(n, false);
-  for (std::size_t x : s.order) used[x] = true;
+  std::vector<std::uint8_t>& used = mark_used(s.order, n);
+  const Cost* const* rows = inst.rows.data();
+  std::size_t* o = s.order.data();  // the length never changes below
 
   constexpr Cost kEps = 1e-12;
   bool improved = true;
@@ -70,48 +108,47 @@ void improve_stroll(const StrollInstance& inst, Stroll& s) {
     // 2-opt: reverse interior segment [i, j].
     for (std::size_t i = 1; i + 1 < m; ++i) {
       for (std::size_t j = i; j + 1 < m; ++j) {
-        const Cost before = inst.edge_cost(s.order[i - 1], s.order[i]) +
-                            inst.edge_cost(s.order[j], s.order[j + 1]);
-        const Cost after = inst.edge_cost(s.order[i - 1], s.order[j]) +
-                           inst.edge_cost(s.order[i], s.order[j + 1]);
+        const Cost before = rows[o[i - 1]][o[i]] + rows[o[j]][o[j + 1]];
+        const Cost after = rows[o[i - 1]][o[j]] + rows[o[i]][o[j + 1]];
         if (after + kEps < before) {
-          std::reverse(s.order.begin() + static_cast<std::ptrdiff_t>(i),
-                       s.order.begin() + static_cast<std::ptrdiff_t>(j) + 1);
+          std::reverse(o + i, o + j + 1);
           improved = true;
         }
       }
     }
     // or-opt: relocate one interior node to another gap.
     for (std::size_t i = 1; i + 1 < m && !improved; ++i) {
-      const Cost remove_gain = inst.edge_cost(s.order[i - 1], s.order[i]) +
-                               inst.edge_cost(s.order[i], s.order[i + 1]) -
-                               inst.edge_cost(s.order[i - 1], s.order[i + 1]);
+      const Cost remove_gain =
+          rows[o[i - 1]][o[i]] + rows[o[i]][o[i + 1]] - rows[o[i - 1]][o[i + 1]];
       for (std::size_t gap = 0; gap + 1 < m; ++gap) {
         if (gap == i - 1 || gap == i) continue;
-        const Cost insert_cost = inst.edge_cost(s.order[gap], s.order[i]) +
-                                 inst.edge_cost(s.order[i], s.order[gap + 1]) -
-                                 inst.edge_cost(s.order[gap], s.order[gap + 1]);
+        const Cost insert_cost =
+            rows[o[gap]][o[i]] + rows[o[i]][o[gap + 1]] - rows[o[gap]][o[gap + 1]];
         if (insert_cost + kEps < remove_gain) {
-          const std::size_t node = s.order[i];
-          s.order.erase(s.order.begin() + static_cast<std::ptrdiff_t>(i));
-          const std::size_t g = gap > i ? gap - 1 : gap;
-          s.order.insert(s.order.begin() + static_cast<std::ptrdiff_t>(g) + 1, node);
+          // Move o[i] between o[gap] and o[gap + 1], shifting the nodes between.
+          if (gap > i) {
+            std::rotate(o + i, o + i + 1, o + gap + 1);
+          } else {
+            std::rotate(o + gap + 1, o + i, o + i + 1);
+          }
           improved = true;
           break;
         }
       }
     }
-    // node swap: replace a chosen interior node with an unchosen one.
+    // node swap: replace a chosen interior node with an unchosen one, read
+    // as rows[o[i-1]][x] + rows[o[i+1]][x] along two rows.
     for (std::size_t i = 1; i + 1 < m && !improved; ++i) {
-      const Cost here = inst.edge_cost(s.order[i - 1], s.order[i]) +
-                        inst.edge_cost(s.order[i], s.order[i + 1]);
+      const Cost* prev = rows[o[i - 1]];
+      const Cost* next = rows[o[i + 1]];
+      const Cost here = prev[o[i]] + rows[o[i]][o[i + 1]];
       for (std::size_t x = 0; x < n; ++x) {
         if (used[x]) continue;
-        const Cost there = inst.edge_cost(s.order[i - 1], x) + inst.edge_cost(x, s.order[i + 1]);
+        const Cost there = prev[x] + next[x];
         if (there + kEps < here) {
-          used[s.order[i]] = false;
-          used[x] = true;
-          s.order[i] = x;
+          used[o[i]] = 0;
+          used[x] = 1;
+          o[i] = x;
           improved = true;
           break;
         }
@@ -128,7 +165,7 @@ Stroll exact_dp(const StrollInstance& inst, int k) {
   if (k == 2) {
     Stroll s;
     s.order = {kSourceIndex, inst.last_index};
-    s.cost = inst.edge_cost(kSourceIndex, inst.last_index);
+    s.cost = inst.rows[kSourceIndex][inst.last_index];
     return s;
   }
 
@@ -147,7 +184,7 @@ Stroll exact_dp(const StrollInstance& inst, int k) {
   std::vector<std::vector<Cost>> dp(full + 1, std::vector<Cost>(c, graph::kInfiniteCost));
   std::vector<std::vector<std::int8_t>> pre(full + 1, std::vector<std::int8_t>(c, -1));
   for (std::size_t j = 0; j < c; ++j) {
-    dp[1u << j][j] = inst.edge_cost(kSourceIndex, cand[j]);
+    dp[1u << j][j] = inst.rows[kSourceIndex][cand[j]];
   }
   Cost best = graph::kInfiniteCost;
   std::uint32_t best_mask = 0;
@@ -158,7 +195,7 @@ Stroll exact_dp(const StrollInstance& inst, int k) {
     for (std::size_t j = 0; j < c; ++j) {
       if (!(mask & (1u << j)) || dp[mask][j] == graph::kInfiniteCost) continue;
       if (static_cast<std::size_t>(pc) == need) {
-        const Cost total = dp[mask][j] + inst.edge_cost(cand[j], inst.last_index);
+        const Cost total = dp[mask][j] + inst.rows[cand[j]][inst.last_index];
         if (total < best) {
           best = total;
           best_mask = mask;
@@ -168,7 +205,7 @@ Stroll exact_dp(const StrollInstance& inst, int k) {
       }
       for (std::size_t x = 0; x < c; ++x) {
         if (mask & (1u << x)) continue;
-        const Cost nd = dp[mask][j] + inst.edge_cost(cand[j], cand[x]);
+        const Cost nd = dp[mask][j] + inst.rows[cand[j]][cand[x]];
         const std::uint32_t nm = mask | (1u << x);
         if (nd < dp[nm][x]) {
           dp[nm][x] = nd;

@@ -11,7 +11,9 @@
 // DESIGN.md §3 we field a cheapest-insertion construction refined by
 // 2-opt/or-opt/node-swap local search (the standard practical equivalent on
 // metric instances — k = |C|+1 ≤ 8 in every experiment), plus an exact
-// Held-Karp-style DP used as oracle and for small instances.
+// Held-Karp-style DP used as oracle and for small instances.  All of them
+// read the instance through its rows under the row-view contract
+// (instance.hpp); the hot scans stream along contiguous rows.
 
 #include <optional>
 #include <vector>

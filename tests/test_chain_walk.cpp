@@ -86,6 +86,28 @@ TEST(ChainWalk, InfeasibleWhenDisconnected) {
   EXPECT_FALSE(plan_chain_walk(p, mc, 0, p.vms(), 4).feasible());
 }
 
+TEST(ChainWalk, InfeasibleWhenFewerVmsThanTheChainAreReachable) {
+  // Source 0 - VM 1 form one component; VMs 2, 3 and the destination 4
+  // the other.  The last VM 1 is reachable, but |C| = 3 needs two more VMs
+  // from the source's component: no insertion is finite.
+  Problem p;
+  p.network = Graph(5);
+  p.network.add_edge(0, 1, 1.0);
+  p.network.add_edge(2, 3, 1.0);
+  p.network.add_edge(3, 4, 1.0);
+  p.node_cost = {0.0, 2.0, 3.0, 4.0, 0.0};
+  p.is_vm = {0, 1, 1, 1, 0};
+  p.sources = {0};
+  p.destinations = {4};
+  p.chain_length = 3;
+  ASSERT_TRUE(p.well_formed());
+  const auto mc = closure_for(p, 0);
+  EXPECT_FALSE(plan_chain_walk(p, mc, 0, p.vms(), 1).feasible());
+  AlgoOptions exact;
+  exact.stroll = kstroll::StrollAlgorithm::kExactDp;
+  EXPECT_FALSE(plan_chain_walk(p, mc, 0, p.vms(), 1, exact).feasible());
+}
+
 TEST(ChainWalk, ZeroChainDegenerates) {
   Problem p = line_problem();
   p.chain_length = 0;

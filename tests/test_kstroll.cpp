@@ -4,11 +4,15 @@
 // (DESIGN.md §9): shared-block instance assembly bitwise vs the per-pair
 // builder, and the PricingSession's cache hit/invalidate semantics across
 // repair vs rebuild vs extend, departure cost restores, thread counts, and
-// the equal-cost parent-flip traps.
+// the equal-cost parent-flip traps; and the row-scan solver kernel bitwise
+// against a frozen copy of the matrix-scan solver it replaced.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <string>
 
 #include "sofe/core/pricing.hpp"
 #include "sofe/core/sofda.hpp"
@@ -236,9 +240,11 @@ TEST(SharedInstanceAssembly, BitwiseEqualToPerPairBuilder) {
     const auto& got = assembler.with_last_vm(j, u, f.node_cost);
     ASSERT_EQ(got.nodes, expect.nodes);
     ASSERT_EQ(got.last_index, expect.last_index);
+    // Every entry the solvers may read: row 0 in full, rows >= 1 at
+    // columns >= 1 (column 0 of a VM row is never read — instance.hpp).
     for (std::size_t a = 0; a < expect.size(); ++a) {
-      for (std::size_t b = 0; b < expect.size(); ++b) {
-        EXPECT_EQ(got.cost[a][b], expect.cost[a][b])  // bitwise: == on doubles
+      for (std::size_t b = a == 0 ? 0 : 1; b < expect.size(); ++b) {
+        EXPECT_EQ(got.rows[a][b], expect.rows[a][b])  // bitwise: == on doubles
             << "entry (" << a << ", " << b << ") for last VM " << u;
       }
     }
@@ -579,6 +585,287 @@ TEST(PricingSession, SetupCostChangeFlushesMultiVnfChains) {
   EXPECT_TRUE(tally.flushed);
   EXPECT_EQ(tally.hits, 0);
   EXPECT_TRUE(chains_equal(got, core::price_candidate_chains(p, mc, p.sources)));
+}
+
+
+TEST(PricingSession, FewerReachableVmsThanTheChainIsInfeasible) {
+  // Source 0 - VM 1 form one component; VMs 2, 3 and the destination 4
+  // the other.  |C| = 3 needs three VMs besides the source, but only VM 1
+  // shares its component: the assembled (source, VM 1) instance has no
+  // finite insertion and must price infeasible, not insert out of range.
+  Fixture f{Graph(5), {0.0, 2.0, 3.0, 4.0, 0.0}, {1, 2, 3}, 0};
+  f.g.add_edge(0, 1, 1.0);
+  f.g.add_edge(2, 3, 1.0);
+  f.g.add_edge(3, 4, 1.0);
+  auto p = problem_for(f, {0}, 3);
+  p.destinations = {4};
+  ASSERT_TRUE(p.well_formed());
+  const auto mc = closure_for_problem(p);
+
+  core::PricingSession session;
+  core::PricingTally tally;
+  const auto got = session.price(p, mc, p.sources, core::ClosureUpdate::rebuilt(), {}, 1, &tally);
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ(tally.repriced, 3);
+  EXPECT_TRUE(core::price_candidate_chains(p, mc, p.sources).empty());
+}
+
+// ---------------------------------------------------------------------------
+// Row-scan kernel vs a frozen oracle: the vector<vector> matrix-scan
+// cheapest insertion + local search the row-scan kernel replaced, kept
+// verbatim except that an insertion with no finite delta returns an
+// infeasible Stroll (it used to insert out of range).  The kernel must
+// return bitwise the same order and cost.
+
+namespace oracle {
+
+using Matrix = std::vector<std::vector<Cost>>;
+
+Cost recompute(const Matrix& c, const std::vector<std::size_t>& order) {
+  Cost sum = 0.0;
+  for (std::size_t i = 0; i + 1 < order.size(); ++i) sum += c[order[i]][order[i + 1]];
+  return sum;
+}
+
+void improve_stroll(const Matrix& c, Stroll& s) {
+  const std::size_t n = c.size();
+  const std::size_t m = s.order.size();
+  if (m < 3) return;
+  std::vector<bool> used(n, false);
+  for (std::size_t x : s.order) used[x] = true;
+
+  constexpr Cost kEps = 1e-12;
+  bool improved = true;
+  int guard = 256;
+  while (improved && guard-- > 0) {
+    improved = false;
+    for (std::size_t i = 1; i + 1 < m; ++i) {
+      for (std::size_t j = i; j + 1 < m; ++j) {
+        const Cost before = c[s.order[i - 1]][s.order[i]] + c[s.order[j]][s.order[j + 1]];
+        const Cost after = c[s.order[i - 1]][s.order[j]] + c[s.order[i]][s.order[j + 1]];
+        if (after + kEps < before) {
+          std::reverse(s.order.begin() + static_cast<std::ptrdiff_t>(i),
+                       s.order.begin() + static_cast<std::ptrdiff_t>(j) + 1);
+          improved = true;
+        }
+      }
+    }
+    for (std::size_t i = 1; i + 1 < m && !improved; ++i) {
+      const Cost remove_gain = c[s.order[i - 1]][s.order[i]] + c[s.order[i]][s.order[i + 1]] -
+                               c[s.order[i - 1]][s.order[i + 1]];
+      for (std::size_t gap = 0; gap + 1 < m; ++gap) {
+        if (gap == i - 1 || gap == i) continue;
+        const Cost insert_cost = c[s.order[gap]][s.order[i]] + c[s.order[i]][s.order[gap + 1]] -
+                                 c[s.order[gap]][s.order[gap + 1]];
+        if (insert_cost + kEps < remove_gain) {
+          const std::size_t node = s.order[i];
+          s.order.erase(s.order.begin() + static_cast<std::ptrdiff_t>(i));
+          const std::size_t g = gap > i ? gap - 1 : gap;
+          s.order.insert(s.order.begin() + static_cast<std::ptrdiff_t>(g) + 1, node);
+          improved = true;
+          break;
+        }
+      }
+    }
+    for (std::size_t i = 1; i + 1 < m && !improved; ++i) {
+      const Cost here = c[s.order[i - 1]][s.order[i]] + c[s.order[i]][s.order[i + 1]];
+      for (std::size_t x = 0; x < n; ++x) {
+        if (used[x]) continue;
+        const Cost there = c[s.order[i - 1]][x] + c[x][s.order[i + 1]];
+        if (there + kEps < here) {
+          used[s.order[i]] = false;
+          used[x] = true;
+          s.order[i] = x;
+          improved = true;
+          break;
+        }
+      }
+    }
+  }
+  s.cost = recompute(c, s.order);
+}
+
+Stroll cheapest_insertion(const Matrix& c, std::size_t last_index, int k) {
+  const std::size_t n = c.size();
+  if (n < static_cast<std::size_t>(k) || last_index == 0) return {};
+  Stroll s;
+  s.order = {0, last_index};
+  std::vector<bool> used(n, false);
+  used[0] = used[last_index] = true;
+  while (s.order.size() < static_cast<std::size_t>(k)) {
+    Cost best_delta = graph::kInfiniteCost;
+    std::size_t best_node = n, best_gap = 0;
+    for (std::size_t x = 0; x < n; ++x) {
+      if (used[x]) continue;
+      for (std::size_t gap = 0; gap + 1 < s.order.size(); ++gap) {
+        const std::size_t a = s.order[gap];
+        const std::size_t b = s.order[gap + 1];
+        const Cost delta = c[a][x] + c[x][b] - c[a][b];
+        if (delta < best_delta) {
+          best_delta = delta;
+          best_node = x;
+          best_gap = gap;
+        }
+      }
+    }
+    if (best_node == n) return {};
+    s.order.insert(s.order.begin() + static_cast<std::ptrdiff_t>(best_gap) + 1, best_node);
+    used[best_node] = true;
+  }
+  s.cost = recompute(c, s.order);
+  improve_stroll(c, s);
+  return s;
+}
+
+/// The full matrix of an owned instance, read straight from its storage.
+Matrix dense(const StrollInstance& inst) {
+  const std::size_t n = inst.size();
+  EXPECT_EQ(inst.storage.size(), n * n);
+  Matrix c(n, std::vector<Cost>(n));
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = 0; b < n; ++b) c[a][b] = inst.storage[a * n + b];
+  }
+  return c;
+}
+
+}  // namespace oracle
+
+void expect_bitwise_same(const Stroll& got, const Stroll& want, const std::string& what) {
+  EXPECT_EQ(got.order, want.order) << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.cost), std::bit_cast<std::uint64_t>(want.cost))
+      << what << ": " << got.cost << " vs " << want.cost;
+}
+
+/// Checks the kernel against the oracle for k in {2..6} and every last VM,
+/// on the per-pair instance and — main construction, source outside the
+/// VM set — on the assembled instance over the same rows.  Also runs the
+/// local search alone from a shuffled start, which reaches the 2-opt and
+/// or-opt moves a cheapest-insertion start rarely needs.
+void expect_kernel_matches_oracle(const Fixture& f, Cost source_setup, std::uint64_t seed) {
+  const auto mc = closure_for(f);
+  const bool assembled = source_setup == 0.0;
+  SharedVmBlock block;
+  InstanceAssembler assembler;
+  if (assembled) {
+    block.build(mc, f.vms, f.node_cost);
+    assembler.bind_source(block, mc, f.vms, f.source);
+  }
+  util::Rng rng(seed);
+  for (std::size_t j = 0; j < f.vms.size(); ++j) {
+    const NodeId u = f.vms[j];
+    const auto built =
+        build_stroll_instance(f.g, mc, f.source, f.vms, u, f.node_cost, source_setup);
+    const auto matrix = oracle::dense(built);
+    const StrollInstance* got_assembled =
+        assembled ? &assembler.with_last_vm(j, u, f.node_cost) : nullptr;
+    for (int k = 2; k <= 6; ++k) {
+      const std::string what = "last VM " + std::to_string(u) + ", k = " + std::to_string(k);
+      const Stroll want = oracle::cheapest_insertion(matrix, built.last_index, k);
+      expect_bitwise_same(cheapest_insertion(built, k), want, "built, " + what);
+      if (got_assembled != nullptr) {
+        expect_bitwise_same(cheapest_insertion(*got_assembled, k), want, "assembled, " + what);
+      }
+
+      // Local search alone, from a random k-node order s -> ... -> u.
+      if (static_cast<std::size_t>(k) > built.size()) continue;
+      std::vector<std::size_t> interior;
+      for (std::size_t x = 1; x < built.size(); ++x) {
+        if (x != built.last_index) interior.push_back(x);
+      }
+      rng.shuffle(interior);
+      Stroll start;
+      start.order = {0};
+      start.order.insert(start.order.end(), interior.begin(), interior.begin() + (k - 2));
+      start.order.push_back(built.last_index);
+      Stroll expect_local = {start.order, 0.0};
+      oracle::improve_stroll(matrix, expect_local);
+      Stroll got_local = {start.order, 0.0};
+      improve_stroll(built, got_local);
+      expect_bitwise_same(got_local, expect_local, "improve, built, " + what);
+      if (got_assembled != nullptr) {
+        Stroll got_local_assembled = {start.order, 0.0};
+        improve_stroll(*got_assembled, got_local_assembled);
+        expect_bitwise_same(got_local_assembled, expect_local, "improve, assembled, " + what);
+      }
+    }
+  }
+}
+
+/// Integer edge costs in {1, 2} and even VM costs in {2, 4}: every shared
+/// setup term is an integer, so equal deltas are everywhere and the
+/// first-(x, gap) tie rule decides most insertions.
+Fixture tie_heavy_fixture(std::uint64_t seed, int n, int vms) {
+  util::Rng rng(seed);
+  Fixture f{Graph(n), std::vector<Cost>(static_cast<std::size_t>(n), 0.0), {}, 0};
+  for (NodeId v = 1; v < n; ++v) {
+    f.g.add_edge(v, static_cast<NodeId>(rng.index(static_cast<std::size_t>(v))),
+                 static_cast<Cost>(1 + rng.index(2)));
+  }
+  for (int extra = 0; extra < n; ++extra) {
+    const NodeId u = static_cast<NodeId>(rng.index(static_cast<std::size_t>(n)));
+    const NodeId v = static_cast<NodeId>(rng.index(static_cast<std::size_t>(n)));
+    if (u != v && f.g.find_edge(u, v) == graph::kInvalidEdge) {
+      f.g.add_edge(u, v, static_cast<Cost>(1 + rng.index(2)));
+    }
+  }
+  const auto chosen = rng.sample_without_replacement(static_cast<std::size_t>(n - 1),
+                                                     static_cast<std::size_t>(vms));
+  for (auto c : chosen) {
+    const NodeId v = static_cast<NodeId>(c + 1);
+    f.vms.push_back(v);
+    f.node_cost[static_cast<std::size_t>(v)] = static_cast<Cost>(2 * (1 + rng.index(2)));
+  }
+  return f;
+}
+
+/// random_fixture plus an island of `island_vms` VMs (a path, unit edges)
+/// that the source cannot reach: their instance entries are +inf.
+Fixture fixture_with_island(std::uint64_t seed, int n, int vms, int island_vms) {
+  Fixture f = random_fixture(seed, n, vms);
+  for (int i = 0; i < island_vms; ++i) {
+    const NodeId v = f.g.add_node();
+    if (i > 0) f.g.add_edge(v - 1, v, 1.0);
+    f.node_cost.push_back(1.0 + static_cast<Cost>(i));
+    f.vms.push_back(v);
+  }
+  return f;
+}
+
+TEST(RowScanKernel, BitwiseEqualToMatrixScanOracleOnRandomInstances) {
+  for (int seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Fixture f = random_fixture(static_cast<std::uint64_t>(seed) * 7919 + 3, 16 + 2 * seed,
+                                     5 + seed);
+    expect_kernel_matches_oracle(f, 0.0, static_cast<std::uint64_t>(seed));
+  }
+}
+
+TEST(RowScanKernel, BitwiseEqualToMatrixScanOracleOnTieHeavyIntegerCosts) {
+  for (int seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Fixture f = tie_heavy_fixture(static_cast<std::uint64_t>(seed) * 104729 + 11,
+                                        12 + 2 * seed, 6 + seed);
+    expect_kernel_matches_oracle(f, 0.0, static_cast<std::uint64_t>(seed) + 100);
+  }
+}
+
+TEST(RowScanKernel, BitwiseEqualToMatrixScanOracleWithUnreachableVms) {
+  // Island sizes 1..3 against k up to 6: last VMs on the island, and
+  // reachable last VMs with too few reachable VMs to fill the stroll.
+  for (int seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Fixture f =
+        fixture_with_island(static_cast<std::uint64_t>(seed) * 613 + 7, 10, 2 + seed, seed);
+    expect_kernel_matches_oracle(f, 0.0, static_cast<std::uint64_t>(seed) + 200);
+  }
+}
+
+TEST(RowScanKernel, BitwiseEqualToMatrixScanOracleWithAppendixDSourceCosts) {
+  for (int seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Fixture f = random_fixture(static_cast<std::uint64_t>(seed) * 337 + 19, 18, 8);
+    expect_kernel_matches_oracle(f, 2.5 * seed, static_cast<std::uint64_t>(seed) + 300);
+  }
 }
 
 }  // namespace

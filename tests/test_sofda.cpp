@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sofe/core/pricing.hpp"
 #include "sofe/core/sofda.hpp"
 #include "sofe/core/sofda_ss.hpp"
 #include "sofe/core/validate.hpp"
@@ -97,6 +98,29 @@ TEST(Sofda, EmptyDestinations) {
   Problem p = random_problem(7, 12, 4, 2, 1, 2);
   p.destinations.clear();
   EXPECT_TRUE(sofda(p).empty());
+}
+
+TEST(Sofda, FewerReachableVmsThanTheChainYieldsAnEmptyForest) {
+  // Source 0 - VM 1 form one component; VMs 2, 3 and the destination 4
+  // the other.  No walk from the source can enable |C| = 3 VMs, so both
+  // pricing paths (per-pair and the session's assembled instances) find
+  // no chain and SOFDA returns an empty forest.
+  Problem p;
+  p.network = Graph(5);
+  p.network.add_edge(0, 1, 1.0);
+  p.network.add_edge(2, 3, 1.0);
+  p.network.add_edge(3, 4, 1.0);
+  p.node_cost = {0.0, 2.0, 3.0, 4.0, 0.0};
+  p.is_vm = {0, 1, 1, 1, 0};
+  p.sources = {0};
+  p.destinations = {4};
+  p.chain_length = 3;
+  ASSERT_TRUE(p.well_formed());
+  SofdaStats stats;
+  EXPECT_TRUE(sofda(p, {}, &stats).empty());
+  EXPECT_EQ(stats.candidate_chains, 0);
+  PricingSession session;
+  EXPECT_TRUE(sofda(p, {}, nullptr, &session).empty());
 }
 
 TEST(Sofda, ChainLengthZeroIsPureMulticast) {
