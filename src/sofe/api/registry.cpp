@@ -144,10 +144,12 @@ class SofdaSsSolver final : public Solver {
     ClosureRequest req;
     req.threads = opt_.threads;
     req.incremental = opt_.incremental;
-    // SOFDA-SS queries the closure hub-to-hub only (chain planning; the
-    // distribution part rides its own Steiner trees), so a bounded scope
-    // needs no extra targets.
+    // Chain planning queries the closure hub-to-hub, and pass-through
+    // shortening reads the last segment (last VM -> destination) off the
+    // VM trees — so destinations complete the settle scope of a bounded
+    // closure, as for SOFDA.
     req.bounded = opt_.bounded_closure;
+    req.settle_targets = p.destinations;
     const auto& closure = session_.acquire(p.network, hubs, req, r);
     util::Stopwatch watch;
     ServiceForest f = core::sofda_ss(p, source, closure, opt_.algo());

@@ -192,8 +192,15 @@ bool DynamicForest::vnf_delete(int j) {
   }
   --p_.chain_length;
   // The deleted VM is now pass-through; shortcut it where globally cheaper
-  // (the paper's reconnect-upstream-to-downstream rule).
-  shorten_pass_through(p_, f_);
+  // (the paper's reconnect-upstream-to-downstream rule).  Every segment
+  // starts at a used source or a still-enabled VM, so complete trees for
+  // exactly those hubs serve the whole sweep.
+  std::vector<NodeId> hubs;
+  for (const auto& entry : f_.enabled_vms()) hubs.push_back(entry.first);
+  for (NodeId s : f_.used_sources()) hubs.push_back(s);
+  graph::MetricClosure closure;
+  closure.build(p_.network, hubs, 1, &engine_);
+  shorten_pass_through(p_, closure, f_);
   return true;
 }
 

@@ -4,7 +4,7 @@
 #include <cassert>
 #include <sstream>
 
-#include "sofe/graph/shortest_path_engine.hpp"
+#include "sofe/graph/metric_closure.hpp"
 
 namespace sofe::core {
 
@@ -67,11 +67,9 @@ Cost total_cost(const Problem& p, const ServiceForest& f) {
   return setup_cost(p, f) + connection_cost(p, f);
 }
 
-void shorten_pass_through(const Problem& p, ServiceForest& f) {
+void shorten_pass_through(const Problem& p, const graph::MetricClosure& closure,
+                          ServiceForest& f) {
   Cost best = total_cost(p, f);
-  // One engine for the whole sweep: the per-segment queries below reuse its
-  // workspaces instead of allocating a fresh Dijkstra per essential pair.
-  graph::ShortestPathEngine engine(p.network);
   for (std::size_t wi = 0; wi < f.walks.size(); ++wi) {
     ChainWalk& w = f.walks[wi];
     // Essential positions: walk start, every VNF position, walk end.
@@ -83,7 +81,9 @@ void shorten_pass_through(const Problem& p, ServiceForest& f) {
       const std::size_t a = essential[k];
       const std::size_t b = essential[k + 1];
       if (b <= a + 1) continue;  // nothing between to shorten
-      const auto& sp = engine.run(w.nodes[a]);
+      // Every segment starts at the walk's source or a VNF VM: a hub.
+      assert(closure.is_hub(w.nodes[a]) && "segment start must be a closure hub");
+      const graph::ConstTreeRow sp = closure.tree(w.nodes[a]);
       if (!sp.reachable(w.nodes[b])) continue;
       const auto path = sp.path_to(w.nodes[b]);
       if (path.size() >= b - a + 1) continue;  // not shorter in hops; skip cheap

@@ -16,6 +16,10 @@
 
 #include "sofe/core/problem.hpp"
 
+namespace sofe::graph {
+class MetricClosure;
+}  // namespace sofe::graph
+
 namespace sofe::core {
 
 /// The walk serving one destination.
@@ -81,11 +85,21 @@ Cost connection_cost(const Problem& p, const ServiceForest& f);
 
 Cost total_cost(const Problem& p, const ServiceForest& f);
 
-/// Pass-through shortening (the paper's Example 7 post-step): replaces each
-/// maximal pass-through segment of every walk with a shortest path, keeping
-/// the change only when the *forest* cost does not increase (shared-edge
-/// accounting can make a locally shorter detour globally worse).
-void shorten_pass_through(const Problem& p, ServiceForest& f);
+/// Pass-through shortening (the paper's Example 7 post-step).  Each maximal
+/// pass-through segment of every walk — from the walk's source or a VNF VM
+/// to the next VNF VM or the destination — is tried against the shortest
+/// path between its endpoints, and only when that path has strictly fewer
+/// hops than the segment (an equal-or-longer hop count is skipped without
+/// costing it).  The splice is kept only when the *forest* cost does not
+/// increase (shared-edge accounting can make a locally shorter detour
+/// globally worse).
+///
+/// Shortest paths are read off `closure`, which must hold a tree for every
+/// walk source and every VNF VM, each exact at every VNF VM and at every
+/// destination.  A complete closure meets this; so does a bounded one whose
+/// settle targets include the destinations.
+void shorten_pass_through(const Problem& p, const graph::MetricClosure& closure,
+                          ServiceForest& f);
 
 /// Human-readable dump (examples / debugging).
 std::string describe(const Problem& p, const ServiceForest& f);

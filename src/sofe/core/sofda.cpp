@@ -9,6 +9,7 @@
 #include "sofe/core/pricing.hpp"
 #include "sofe/graph/mst.hpp"
 #include "sofe/steiner/steiner.hpp"
+#include "sofe/util/stopwatch.hpp"
 
 namespace sofe::core {
 
@@ -184,6 +185,7 @@ ServiceForest sofda_from_candidates(const Problem& p, const graph::MetricClosure
   st.candidate_chains = static_cast<int>(candidates.size());
   if (candidates.empty()) return {};
 
+  util::Stopwatch watch;
   // --- Step 2: auxiliary graph Ĝ (Procedure 3).
   Graph aux = p.network;
   const NodeId n_orig = p.network.node_count();
@@ -235,6 +237,8 @@ ServiceForest sofda_from_candidates(const Problem& p, const graph::MetricClosure
   tree.edges = graph::prune_non_terminal_leaves(aux, std::move(tree.edges), keep);
   rt.build(aux, tree.edges, vroot);
   st.steiner_tree_cost = tree.cost(aux);
+  st.steiner_seconds = watch.seconds();
+  watch.reset();
 
   // --- Step 4: deploy the chain of every selected virtual edge (Procedure 4).
   ChainPool pool(p);
@@ -261,6 +265,7 @@ ServiceForest sofda_from_candidates(const Problem& p, const graph::MetricClosure
   }
   st.deployed_chains = static_cast<int>(selected.size());
   st.conflicts = pool.stats();
+  st.conflict_seconds = watch.seconds();
 
   // --- Step 5: per-destination walks = deployed chain + T ∩ G distribution.
   ServiceForest f;
@@ -322,7 +327,11 @@ ServiceForest sofda_from_candidates(const Problem& p, const graph::MetricClosure
     f.walks.push_back(std::move(w));
   }
 
-  if (opt.shorten) shorten_pass_through(p, f);
+  if (opt.shorten) {
+    watch.reset();
+    shorten_pass_through(p, closure, f);
+    st.shorten_seconds = watch.seconds();
+  }
   return f;
 }
 

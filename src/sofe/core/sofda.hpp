@@ -29,6 +29,13 @@ struct SofdaStats {
   int deployed_chains = 0;    // virtual edges selected by the Steiner tree
   int rehomed_destinations = 0;  // served via the drop-fallback (0 in practice)
   Cost steiner_tree_cost = 0.0;  // cost of T in Ĝ (the 3ρST·OPT certificate)
+  // Wall-clock split of sofda_from_candidates (the post-pricing solve):
+  // Ĝ + Steiner tree (steps 2-3), chain deployment with conflict
+  // resolution (step 4), and pass-through shortening.  Step 5's walk
+  // assembly is in none of them.
+  double steiner_seconds = 0.0;
+  double conflict_seconds = 0.0;
+  double shorten_seconds = 0.0;
 };
 
 /// Runs SOFDA.  Returns an empty forest when the instance is infeasible
@@ -92,8 +99,10 @@ void merge_priced_chains(std::vector<PricedChain>& chains);
 
 /// Steps 2-5 of SOFDA (auxiliary graph, Steiner tree, deployment, walks)
 /// given already-priced candidates in canonical (source, last_vm) order.
-/// `closure` must hold trees for every candidate's last VM (used by the
-/// drop-fallback re-homing).  Requires chain_length >= 1.
+/// `closure` must hold trees for every source and every VM, each exact at
+/// every VM and destination: the drop-fallback re-homing reads last-VM
+/// trees, and pass-through shortening reads the source and VNF-VM trees
+/// (see shorten_pass_through).  Requires chain_length >= 1.
 ServiceForest sofda_from_candidates(const Problem& p, const graph::MetricClosure& closure,
                                     const std::vector<PricedChain>& candidates,
                                     const AlgoOptions& opt = {}, SofdaStats* stats = nullptr);

@@ -21,7 +21,10 @@ ServiceForest sofda_ss(const Problem& p, NodeId source, const AlgoOptions& opt =
 
 /// Same algorithm against a caller-owned metric closure holding trees for
 /// `source` and every VM (the api::Solver session path — a persistent
-/// session reuses the closure's workspaces across solves).
+/// session reuses the closure's workspaces across solves).  With
+/// `opt.shorten` the trees must also be exact at every destination
+/// (shorten_pass_through's precondition): complete, or bounded with the
+/// destinations among the settle targets.
 ServiceForest sofda_ss(const Problem& p, NodeId source, const graph::MetricClosure& closure,
                        const AlgoOptions& opt = {});
 

@@ -5,9 +5,9 @@
 // KMB/Mehlhorn Steiner, SOFDA pricing, the sharded multi-controller closure,
 // the dynamic-forest operations — bottoms out in Dijkstra.  The free functions in
 // dijkstra.hpp allocate three O(V) arrays plus a heap per call; on the hot
-// paths (metric closures over dozens of hubs, per-segment shortening sweeps,
-// online arrival streams) that allocation dominates.  The engine owns the
-// workspaces once and reuses them across queries:
+// paths (metric closures over dozens of hubs, online arrival streams) that
+// allocation dominates.  The engine owns the workspaces once and reuses them
+// across queries:
 //
 //   * result arrays are reset via a touched-node list, so a bounded or
 //     targeted query that settles k nodes costs O(k log k), not O(V);

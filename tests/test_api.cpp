@@ -346,6 +346,40 @@ TEST(BoundedClosure, SolverOutputMatchesTheFreeFunction) {
   }
 }
 
+TEST(BoundedClosure, SofdaSsBoundedSessionMatchesTheUnboundedSession) {
+  // Shortening reads the last segment (last VM -> destination) off the
+  // session closure, so a bounded sofda-ss closure must settle the
+  // destinations too.  With only a few VMs the hub-only settle scope stops
+  // short of far destinations, which is where a missing target shows.  One
+  // pair of persistent sessions serves a stream of random instances
+  // (shortening on, the default).
+  SolverOptions bounded;
+  bounded.bounded_closure = true;
+  SolverOptions unbounded;
+  auto bounded_ss = make_solver("sofda-ss", bounded);
+  auto unbounded_ss = make_solver("sofda-ss", unbounded);
+  ASSERT_TRUE(unbounded.algo().shorten);
+  for (const auto& topo : {topology::softlayer(), topology::cogent()}) {
+    for (int vms : {2, 3, 4, 6}) {
+      for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        topology::ProblemConfig cfg;
+        cfg.num_vms = vms;
+        cfg.num_sources = 1;
+        cfg.num_destinations = topo.name == "Cogent" ? 20 : 8;
+        cfg.chain_length = 1 + static_cast<int>(seed % 2);
+        cfg.seed = seed;
+        const auto p = topology::make_problem(topo, cfg);
+        const ServiceForest want = unbounded_ss->solve(p);
+        const ServiceForest got = bounded_ss->solve(p);
+        ASSERT_FALSE(want.empty());
+        EXPECT_TRUE(forests_equal(got, want)) << topo.name << " vms " << vms << " seed " << seed;
+        EXPECT_EQ(core::total_cost(p, got), core::total_cost(p, want))
+            << topo.name << " vms " << vms << " seed " << seed;
+      }
+    }
+  }
+}
+
 // Version counters are copied with the graph, so two Problem copies can
 // carry the SAME Graph::version() with DIFFERENT link costs (the online
 // simulator does exactly this every arrival).  The session must not take
@@ -778,6 +812,27 @@ TEST(SessionMemoryBound, ShardedAcquireStoresExactlyTheRequestedHubs) {
         return session.acquire_sharded(g, hubs, /*controllers=*/2, req, bus, rep).closure();
       },
       /*full_rows=*/false);
+}
+
+TEST(Report, PostPricingPhaseSplitFitsInsideTheSolveTime) {
+  // steiner/conflict/shorten seconds split sofda_from_candidates, which
+  // solve_seconds times as a whole.
+  for (const auto& name : {"sofda", "dist/k=2"}) {
+    auto solver = make_solver(name);
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      topology::ProblemConfig cfg;
+      cfg.seed = seed;
+      const auto p = topology::make_problem(topology::cogent(), cfg);
+      ASSERT_FALSE(solver->solve(p).empty());
+      const auto& r = solver->report();
+      const auto& st = r.sofda;
+      EXPECT_GE(st.steiner_seconds, 0.0) << name;
+      EXPECT_GE(st.conflict_seconds, 0.0) << name;
+      EXPECT_GE(st.shorten_seconds, 0.0) << name;
+      EXPECT_LE(st.steiner_seconds + st.conflict_seconds + st.shorten_seconds, r.solve_seconds)
+          << name << " seed " << seed;
+    }
+  }
 }
 
 }  // namespace
