@@ -8,8 +8,9 @@
 // This harness is also the incremental pipeline's acceptance bench
 // (DESIGN.md §8 + §9): every solver runs the arrival loop twice — once
 // with the delta-aware session (SolverOptions::incremental closure repair
-// plus the ::incremental_pricing chain cache) and once with the recomputing
-// baseline (both knobs off, per-arrival Problem copies) — verifies the two
+// plus the price-keyed chain cache) and once with the recomputing baseline
+// (a fresh solver per arrival over per-arrival Problem copies, so no
+// closure or pricing state survives an arrival) — verifies the two
 // series bit for bit (exit 1 on any divergence), and reports the
 // arrival-loop speedup, the pricing-cache hit/reprice tallies and a
 // per-phase breakdown.
@@ -115,18 +116,17 @@ PanelMeasurement run_panel(const char* title, const sofe::topology::Topology& to
     m.incremental_seconds = watch.seconds();
     m.series.algorithm = display;
 
-    // Recomputing baseline: per-arrival Problem copies + strict sessions
-    // that rebuild the closure whenever anything changed and re-price every
-    // chain from scratch (the pre-§9 pricing path).
-    sofe::api::SolverOptions rebuild_opt;
-    rebuild_opt.incremental = false;
-    rebuild_opt.incremental_pricing = false;
-    auto rebuilding = sofe::api::make_solver(registered, rebuild_opt);
-    rebuilding->set_report_sink(&m.recompute);
+    // Recomputing baseline: per-arrival Problem copies + a fresh solver
+    // per arrival, which builds the closure and prices every chain cold.
     auto ref_cfg = cfg;
     ref_cfg.copy_problems = true;
     watch.reset();
-    const auto reference = simulate(topo, ref_cfg, *rebuilding);
+    const auto reference =
+        simulate(topo, ref_cfg, display, [&](const sofe::core::Problem& p) {
+          auto fresh = sofe::api::make_solver(registered);
+          fresh->set_report_sink(&m.recompute);
+          return fresh->solve(p);
+        });
     m.rebuild_seconds = watch.seconds();
 
     m.identical = series_identical(m.series, reference);
@@ -433,8 +433,8 @@ int main(int argc, char** argv) {
       // Beyond the paper: the churn scenario of the online-admission
       // literature — every request departs holding_arrivals later,
       // returning its bandwidth/VNF charges as cost-RESTORE deltas.  This
-      // sweeps the pricing cache through both delta directions and keeps
-      // the network in a steady state instead of saturating.
+      // sweeps the sessions through both delta directions and keeps the
+      // network in a steady state instead of saturating.
       sofe::online::OnlineConfig cfg;
       cfg.requests = 40;
       cfg.min_destinations = 13;

@@ -162,18 +162,15 @@ DrillPoint run_point(const sofe::topology::Topology& topo, sofe::online::OnlineC
   if (quality_n > 0) pt.quality_vs_scratch = quality_sum / quality_n;
 
   if (budget < 0) {
-    // The from-scratch reference drill: per-arrival Problem copies and a
-    // cold session that rebuilds closures and re-prices every chain.  The
-    // warm incremental drill above must reproduce it bit for bit —
-    // recoveries included — or the resilience layer leaked session state
-    // into results.
+    // The from-scratch reference drill: per-arrival Problem copies and the
+    // free core::sofda, which builds its closure and prices every chain
+    // cold on each call — no state survives an arrival.  The warm
+    // incremental drill above must reproduce it bit for bit — recoveries
+    // included — or the resilience layer leaked session state into results.
     auto ref_cfg = cfg;
     ref_cfg.copy_problems = true;
-    sofe::api::SolverOptions cold_opt;
-    cold_opt.incremental = false;
-    cold_opt.incremental_pricing = false;
-    auto cold = sofe::api::make_solver("sofda", cold_opt);
-    const auto reference = simulate(topo, ref_cfg, *cold);
+    const auto reference = simulate(topo, ref_cfg, "sofda",
+                                    [](const sofe::core::Problem& p) { return sofe::core::sofda(p); });
     pt.identical_to_reference = series_identical(r, reference) && recoveries_identical(r, reference);
     if (!pt.unbounded_matches_scratch) {
       std::cerr << "ERROR: unbounded budget kept a repair over a feasible "

@@ -96,7 +96,7 @@ struct Pipeline::Impl {
   // from generation g to g + 1.  Workers fold the batches they missed
   // into their replicas at claim time (under mu; O(moved links) per
   // epoch), which is how "ONE EdgeCostDelta batch per epoch" reaches
-  // every worker-side repair and pricing invalidation.
+  // every worker replica.
   struct Payload {
     std::vector<graph::EdgeCostDelta> deltas;
     std::vector<Cost> node_cost;  // full post-refresh vector (VM setups)

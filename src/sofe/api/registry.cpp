@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "sofe/baselines/baselines.hpp"
+#include "sofe/core/pricing.hpp"
 #include "sofe/core/sofda_ss.hpp"
 #include "sofe/dist/dist_sofda.hpp"
 #include "sofe/util/stopwatch.hpp"
@@ -17,10 +18,11 @@ namespace {
 
 /// SOFDA as a session: the closure over {VMs} ∪ {sources} persists across
 /// solves (hub order matches core::sofda, so results are bit-identical to
-/// the free function), pricing fans out over SolverOptions::threads, and —
-/// with SolverOptions::incremental_pricing — the PricedChain cache rides
-/// the closure session's change stream so a repaired arrival re-prices
-/// only the touched chains (DESIGN.md §9).
+/// the free function), pricing fans out over SolverOptions::threads, and
+/// the PricingSession reuses every cached chain while the price key holds
+/// — same graph, VMs, chain length, stroll algorithm and setup costs
+/// (DESIGN.md §9).  Plain and epoch solves share that one cache: the key
+/// does not care which closure object the rows came from.
 class SofdaSolver final : public Solver {
  public:
   SofdaSolver(SolverOptions opt, std::string name) : Solver(opt), name_(std::move(name)) {}
@@ -46,37 +48,7 @@ class SofdaSolver final : public Solver {
     // fallback additionally queries hub-to-destination — so destinations
     // complete the settle scope of a bounded closure.
     req.settle_targets = p.destinations;
-    const auto& closure = session_.acquire(p.network, hubs, req, r);
-    if (epoch_priced_) {
-      // The cache is keyed to a published epoch closure, whose changes are
-      // not in this session's own update stream: restart cold.
-      pricing_.invalidate();
-      epoch_priced_ = false;
-    }
-
-    util::Stopwatch watch;
-    std::vector<core::PricedChain> candidates;
-    if (opt_.incremental_pricing) {
-      // The pricing cache must observe every closure change exactly once;
-      // acquire() just ran, so last_update() is this solve's delta.
-      core::PricingTally tally;
-      const core::ClosureUpdate update = session_.last_update();
-      candidates = core::price_candidate_chains(p, closure, p.sources, opt_.algo(),
-                                                opt_.threads, &pricing_, &update, &tally);
-      r.pricing_hits = tally.hits;
-      r.pricing_repriced = tally.repriced;
-      r.pricing_flushed = tally.flushed;
-    } else {
-      // Closure changes now go unobserved: restart the cache cold if the
-      // knob is ever flipped back on.
-      pricing_.invalidate();
-      candidates = core::price_candidate_chains(p, closure, p.sources, opt_.algo(), opt_.threads);
-    }
-    r.pricing_seconds = watch.seconds();
-    watch.reset();
-    ServiceForest f = core::sofda_from_candidates(p, closure, candidates, opt_.algo(), &r.sofda);
-    r.solve_seconds = watch.seconds();
-    return f;
+    return price_and_solve(p, session_.acquire(p.network, hubs, req, r), r);
   }
 
   ServiceForest do_solve_epoch(const Problem& p, const ClosureEpoch& epoch,
@@ -94,25 +66,19 @@ class SofdaSolver final : public Solver {
     const graph::MetricClosure& closure = *epoch.closure;
     assert(closure.is_hub(p.sources.front()) && "publisher must cover the epoch window's hubs");
     r.closure_hubs = static_cast<int>(closure.hub_count());
-    r.closure_cache_hit = epoch.update.kind == core::ClosureUpdate::Kind::kUnchanged;
-    r.closure_repaired = epoch.update.kind == core::ClosureUpdate::Kind::kRepaired;
+    return price_and_solve(p, closure, r);
+  }
 
+ private:
+  ServiceForest price_and_solve(const Problem& p, const graph::MetricClosure& closure,
+                                SolveReport& r) {
     util::Stopwatch watch;
-    std::vector<core::PricedChain> candidates;
-    if (opt_.incremental_pricing) {
-      // Fork-from-epoch pricing (DESIGN.md §10): the epoch's one update
-      // reaches every worker; price_epoch dedups it by generation.
-      core::PricingTally tally;
-      candidates = pricing_.price_epoch(p, closure, p.sources, epoch.generation, epoch.update,
-                                        opt_.algo(), opt_.threads, &tally);
-      r.pricing_hits = tally.hits;
-      r.pricing_repriced = tally.repriced;
-      r.pricing_flushed = tally.flushed;
-      epoch_priced_ = true;
-    } else {
-      pricing_.invalidate();
-      candidates = core::price_candidate_chains(p, closure, p.sources, opt_.algo(), opt_.threads);
-    }
+    core::PricingTally tally;
+    const std::vector<core::PricedChain> candidates =
+        pricing_.price(p, closure, p.sources, {}, opt_.algo(), opt_.threads, &tally);
+    r.pricing_hits = tally.hits;
+    r.pricing_repriced = tally.repriced;
+    r.pricing_flushed = tally.flushed;
     r.pricing_seconds = watch.seconds();
     watch.reset();
     ServiceForest f = core::sofda_from_candidates(p, closure, candidates, opt_.algo(), &r.sofda);
@@ -120,11 +86,9 @@ class SofdaSolver final : public Solver {
     return f;
   }
 
- private:
   std::string name_;
   ClosureSession session_;
   core::PricingSession pricing_;
-  bool epoch_priced_ = false;  // pricing cache keyed to an epoch closure
 };
 
 /// SOFDA-SS session over p.sources.front(); the closure over

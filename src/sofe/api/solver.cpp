@@ -78,11 +78,8 @@ const graph::MetricClosure& ClosureSession::acquire(const graph::Graph& g,
   }
   report.closure_delta_edges = static_cast<int>(deltas_.size());
 
-  row_changes_.clear();
-  added_hubs_.clear();
   if (structure_same && hubs_ok && deltas_.empty()) {
     report.closure_cache_hit = true;
-    last_kind_ = core::ClosureUpdate::Kind::kUnchanged;
     if (incremental) {
       // A shrunken request drops the rows it no longer names; the kept
       // rows are untouched, so this is still a hit.  The strict key
@@ -107,10 +104,8 @@ const graph::MetricClosure& ClosureSession::acquire(const graph::Graph& g,
     // Drop unrequested rows first so the refresh repairs only what the
     // request reads.
     closure_.retain(hubs);
-    closure_.refresh(g, deltas_, req.threads, &engine_, &row_changes_);
+    closure_.refresh(g, deltas_, req.threads, &engine_);
     if (!missing_.empty()) closure_.extend(g, missing_, req.threads, &engine_);
-    added_hubs_ = missing_;
-    last_kind_ = core::ClosureUpdate::Kind::kRepaired;
     report.closure_repaired = true;
     report.closure_hubs_added = static_cast<int>(missing_.size());
     for (const graph::EdgeCostDelta& d : deltas_) {
@@ -124,7 +119,6 @@ const graph::MetricClosure& ClosureSession::acquire(const graph::Graph& g,
     scope.bounded = req.bounded;
     scope.extra_targets = req.settle_targets;
     closure_.build(g, hubs, req.threads, &engine_, scope);
-    last_kind_ = core::ClosureUpdate::Kind::kRebuilt;
     key_nodes_ = g.node_count();
     key_edges_.assign(edges.begin(), edges.end());
     key_hubs_ = hubs;
@@ -179,11 +173,8 @@ const dist::ShardedClosure& ClosureSession::acquire_sharded(
   }
   report.closure_delta_edges = static_cast<int>(deltas_.size());
 
-  row_changes_.clear();
-  added_hubs_.clear();
   if (structure_same && hubs_ok && deltas_.empty()) {
     report.closure_cache_hit = true;
-    last_kind_ = core::ClosureUpdate::Kind::kUnchanged;
     if (incremental) {
       sharded_->retain(hubs);
       key_hubs_ = hubs;
@@ -200,14 +191,10 @@ const dist::ShardedClosure& ClosureSession::acquire_sharded(
       structure_same && incremental && deltas_.size() * 4 <= edges.size();
   if (repairable) {
     // retain -> refresh -> extend, every re-exchanged row charged on `bus`
-    // by the ShardedClosure itself.  refresh clears `row_changes_` before
-    // filling it; extend appends, so the combined list is this solve's
-    // pricing-invalidation feed.
+    // by the ShardedClosure itself.
     sharded_->retain(hubs);
-    if (!deltas_.empty()) sharded_->refresh(g, deltas_, req.threads, bus, &row_changes_);
-    if (!missing_.empty()) sharded_->extend(g, hubs, req.threads, bus, &row_changes_);
-    added_hubs_ = missing_;
-    last_kind_ = core::ClosureUpdate::Kind::kRepaired;
+    if (!deltas_.empty()) sharded_->refresh(g, deltas_, req.threads, bus);
+    if (!missing_.empty()) sharded_->extend(g, hubs, req.threads, bus);
     report.closure_repaired = true;
     report.closure_hubs_added = static_cast<int>(missing_.size());
     for (const graph::EdgeCostDelta& d : deltas_) {
@@ -226,7 +213,6 @@ const dist::ShardedClosure& ClosureSession::acquire_sharded(
     }
     if (sharded_ == nullptr) sharded_ = std::make_unique<dist::ShardedClosure>();
     sharded_->build(g, std::move(part), hubs, req.settle_targets, req.threads, bus, req.bounded);
-    last_kind_ = core::ClosureUpdate::Kind::kRebuilt;
     key_nodes_ = g.node_count();
     key_edges_.assign(edges.begin(), edges.end());
     key_hubs_ = hubs;
@@ -242,22 +228,16 @@ const dist::ShardedClosure& ClosureSession::acquire_sharded(
 
 ClosureEpoch ClosureSession::publish(const graph::Graph& g, const std::vector<NodeId>& hubs,
                                      const ClosureRequest& req, SolveReport& report) {
-  // The outcome acquire records (hit / repair / rebuild) becomes the
-  // epoch's snapshot advance; the snapshot itself shares row slabs with
-  // the live closure copy-on-write (DESIGN.md §13), so publishing costs
-  // O(rows) reference copies — not a deep copy of O(rows · V) trees.
+  // The snapshot shares row slabs with the live closure copy-on-write
+  // (DESIGN.md §13), so publishing costs O(rows) reference copies — not a
+  // deep copy of O(rows · V) trees.
   // Publishing over an un-retired epoch replaces it (the old handle's
   // rows are released first); retire() between publishes keeps the
   // intervening repair writing in place instead of relocating.
   (void)acquire(g, hubs, req, report);
   closure_.snapshot_to(epoch_closure_);
   published_ = true;
-  ++generation_;
-  ClosureEpoch epoch;
-  epoch.closure = &epoch_closure_;
-  epoch.update = last_update();
-  epoch.generation = generation_;
-  return epoch;
+  return ClosureEpoch{&epoch_closure_};
 }
 
 ServiceForest Solver::solve(const Problem& p) {

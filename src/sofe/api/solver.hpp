@@ -1,6 +1,6 @@
 #pragma once
 // Unified solver session API (DESIGN.md §7; the delta-aware closure
-// session is §8, the repair-aware pricing cache §9).
+// session is §8, the price-keyed pricing cache §9).
 //
 // Every embedding algorithm in the library — SOFDA, SOFDA-SS, the Section
 // VIII baselines, the multi-controller pipeline and the exact solver — is
@@ -17,7 +17,6 @@
 // solvers are obtained by name through the SolverRegistry (registry.hpp).
 
 #include <cassert>
-#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -26,7 +25,6 @@
 
 #include "sofe/core/chain_walk.hpp"
 #include "sofe/core/forest.hpp"
-#include "sofe/core/pricing.hpp"
 #include "sofe/core/sofda.hpp"
 #include "sofe/exact/solver.hpp"
 #include "sofe/graph/metric_closure.hpp"
@@ -64,16 +62,6 @@ struct SolverOptions {
   /// the strict rebuild-on-any-change session of the pre-incremental API
   /// (the bench's recomputing baseline).
   bool incremental = true;
-  /// Repair-aware k-stroll pricing (DESIGN.md §9): SOFDA sessions keep a
-  /// PricedChain cache per (source, last VM) that subscribes to the
-  /// closure session's change stream — after a repair, only the chains
-  /// whose hub rows, lift paths or setup costs were actually touched
-  /// re-price (through the shared-block instance assembly); a rebuild
-  /// flushes everything.  Like `incremental`, purely a speed knob:
-  /// candidates are bitwise identical to the recomputing path at any
-  /// thread count (tested, and re-asserted on every bench_fig12_online
-  /// panel).  Off restores per-solve from-scratch pricing.
-  bool incremental_pricing = true;
   /// Build session closures bounded: every hub tree stops once all hubs and
   /// all destinations are settled (run_until_settled).  Exact for every
   /// query SOFDA pricing and re-homing perform, and cheaper on large graphs
@@ -161,17 +149,10 @@ struct ClosureRequest {
 /// A published read-only closure epoch (DESIGN.md §10): the immutable
 /// snapshot handle the admission pipeline's worker sessions price against.
 /// Produced by ClosureSession::publish, consumed by Solver::solve_epoch.
-/// The closure pointer and the update spans stay valid — and safe for any
-/// number of concurrent readers — until the publishing session's retire().
+/// The closure pointer stays valid — and safe for any number of concurrent
+/// readers — until the publishing session's retire().
 struct ClosureEpoch {
   const graph::MetricClosure* closure = nullptr;
-  /// The snapshot advance from the previous epoch to this one, in the
-  /// shape core::PricingSession consumes: what publish()'s acquire did.
-  core::ClosureUpdate update;
-  /// Monotone per-publisher epoch counter (1 = first publish).  Workers
-  /// feed it to PricingSession::price_epoch, which dedups the update by
-  /// generation and flushes on gaps.
-  std::uint64_t generation = 0;
 };
 
 /// Session-scoped MetricClosure cache shared by the concrete solvers.
@@ -208,8 +189,7 @@ class ClosureSession {
   ~ClosureSession();
 
   /// Updates report.closure_cache_hit/_repaired/_hubs/_delta_edges/
-  /// _hubs_added and report.closure_seconds, and records the outcome for
-  /// last_update().
+  /// _hubs_added and report.closure_seconds.
   const graph::MetricClosure& acquire(const graph::Graph& g, const std::vector<NodeId>& hubs,
                                       const ClosureRequest& req, SolveReport& report);
 
@@ -231,19 +211,6 @@ class ClosureSession {
                                               const std::vector<NodeId>& hubs, int controllers,
                                               const ClosureRequest& req, dist::MessageBus& bus,
                                               SolveReport& report);
-
-  /// What the most recent acquire did to the cached closure, in the shape
-  /// core::PricingSession consumes (DESIGN.md §9): hit -> unchanged,
-  /// repair -> the per-row change sets from MetricClosure::refresh plus
-  /// the hubs an incremental extend (re)built, rebuild -> flush.  The
-  /// spans point into session storage overwritten by the next acquire.
-  core::ClosureUpdate last_update() const noexcept {
-    core::ClosureUpdate u;
-    u.kind = last_kind_;
-    u.rows = row_changes_;
-    u.added_hubs = added_hubs_;
-    return u;
-  }
 
   /// Drops the cached closure (the next acquire rebuilds).  A published
   /// epoch is unaffected: it holds its own row references.
@@ -288,17 +255,12 @@ class ClosureSession {
   bool sharded_valid_ = false;
   int sharded_k_ = 0;               // controller count the sharded cache was built for
   bool published_ = false;          // epoch handle outstanding (publish/retire)
-  std::uint64_t generation_ = 0;    // epochs published by this session
   NodeId key_nodes_ = 0;
   std::vector<graph::Edge> key_edges_;
   std::vector<NodeId> key_hubs_;     // exact-sequence key (non-incremental/bounded)
   std::vector<NodeId> key_targets_;  // bounded: the settle-target sequence
   std::vector<graph::EdgeCostDelta> deltas_;  // scratch
   std::vector<NodeId> missing_;               // scratch
-  // last_update() storage, rewritten per acquire.
-  core::ClosureUpdate::Kind last_kind_ = core::ClosureUpdate::Kind::kRebuilt;
-  std::vector<graph::MetricClosure::RowDelta> row_changes_;
-  std::vector<NodeId> added_hubs_;
 };
 
 class ReportAccumulator;
@@ -328,7 +290,7 @@ class Solver {
   /// Embeds one instance against a published closure epoch (DESIGN.md
   /// §10): instead of maintaining its own ClosureSession, the solver
   /// prices against `epoch.closure` — shared, read-only, covering every
-  /// hub the instance needs — and keys its caches to `epoch.generation`.
+  /// hub the instance needs.
   /// Results are bit-identical to solve() on the same problem (the epoch
   /// is a cache, never an input).  Solvers that don't consume shared
   /// closures (wants_epoch_closure() == false) fall back to solve()

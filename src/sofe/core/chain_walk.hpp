@@ -49,9 +49,9 @@ ChainPlan plan_chain_walk(const Problem& p, const graph::MetricClosure& closure,
 /// Procedure-2 tail on an already-built metric instance: solves the
 /// (|C|+1)-stroll on `inst` and lifts it through `closure` into G.  This is
 /// the single implementation both pricing paths share — plan_chain_walk
-/// calls it after build_stroll_instance, and the repair-aware PricingSession
-/// (pricing.hpp, DESIGN.md §9) after its incremental instance assembly — so
-/// their bit-identity is structural, not maintained by hand.  `inst` must
+/// calls it after build_stroll_instance, and PricingSession (pricing.hpp,
+/// DESIGN.md §9) after its shared-block instance assembly — so their
+/// bit-identity is structural, not maintained by hand.  `inst` must
 /// carry source/last_vm and satisfy the build_stroll_instance contract;
 /// callers perform the reachability pre-check.
 ChainPlan plan_chain_walk_on(const Problem& p, const graph::MetricClosure& closure,

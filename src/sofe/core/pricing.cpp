@@ -6,145 +6,17 @@
 
 namespace sofe::core {
 
-void PricingSession::invalidate() {
-  key_valid_ = false;
-  buckets_.clear();
-  block_.invalidate();
-}
-
-std::size_t PricingSession::cached_chains() const noexcept {
-  std::size_t n = 0;
-  for (const auto& [s, bucket] : buckets_) {
-    (void)s;
-    for (const Entry& e : bucket.entries) {
-      if (e.state != Entry::State::kUnknown) ++n;
-    }
-  }
-  return n;
-}
-
-void PricingSession::flush_chains() {
-  // Keep buckets and their ChainPlan storage (capacity is the point of a
-  // session); only the cached outcomes are dropped.
-  for (auto& [s, bucket] : buckets_) {
-    (void)s;
-    for (Entry& e : bucket.entries) e.state = Entry::State::kUnknown;
-  }
-}
-
-const std::vector<std::uint8_t>& PricingSession::row_marks(
-    const graph::MetricClosure::RowDelta& row) {
-  auto [it, fresh] = row_mark_cache_.try_emplace(row.hub);
-  if (fresh) {
-    it->second.assign(vm_mark_.size(), 0);
-    for (NodeId x : row.nodes) it->second[static_cast<std::size_t>(x)] = 1;
-  }
-  return it->second;
-}
-
-bool PricingSession::lift_stale(const ChainPlan& plan) {
-  // A cached plan's walk is its lift paths concatenated: segment i runs
-  // from stroll node plan.nodes[prev] to plan.nodes[vnf_pos[i]] and was
-  // read from closure.tree(plan.nodes[prev]).  The fresh lift reproduces
-  // it bitwise iff no node ON the old segment changed (dist or parent) in
-  // that row — walking unchanged parent pointers from an unchanged
-  // endpoint retraces the old path (DESIGN.md §9).
-  std::size_t prev = 0;
-  for (std::size_t pos : plan.vnf_pos) {
-    const NodeId a = plan.nodes[prev];
-    const auto it = row_of_.find(a);
-    if (it != row_of_.end()) {
-      const graph::MetricClosure::RowDelta& row = *it->second;
-      if (row.full) return true;
-      const auto& marks = row_marks(row);
-      for (std::size_t i = prev; i <= pos; ++i) {
-        if (marks[static_cast<std::size_t>(plan.nodes[i])]) return true;
-      }
-    }
-    prev = pos;
-  }
-  return false;
-}
-
-void PricingSession::apply_update(const Problem& p, const ClosureUpdate& update,
-                                  PricingTally& tally) {
-  const auto n = static_cast<std::size_t>(p.network.node_count());
-  vm_mark_.assign(n, 0);
-  for (NodeId v : key_vms_) vm_mark_[static_cast<std::size_t>(v)] = 1;
-  row_of_.clear();          // previous call's pointers died with its spans
-  row_mark_cache_.clear();
-
-  // |C| == 1 means 2-strolls: the solve reads ONLY the (source, u) entry,
-  // so the (VM, VM) block — and with it every VM row — is out of every
-  // chain's read set and invalidation stays per (source row, entry).
-  const bool row_only = key_chain_length_ == 1;
-
-  // |C| >= 2: a changed VM row entry AT a VM changes the shared (VM, VM)
-  // block, and with it every instance matrix — nothing survives.
-  if (!row_only) {
-    for (const auto& row : update.rows) {
-      if (!vm_mark_[static_cast<std::size_t>(row.hub)]) continue;
-      bool dirty = row.full;
-      for (std::size_t i = 0; !dirty && i < row.nodes.size(); ++i) {
-        dirty = vm_mark_[static_cast<std::size_t>(row.nodes[i])] != 0;
-      }
-      if (dirty) {
-        flush_chains();
-        block_.invalidate();
-        tally.flushed = true;
-        return;
-      }
-    }
-  }
-
-  for (const auto& row : update.rows) row_of_.emplace(row.hub, &row);
-
-  // Re-added source hubs observed no deltas while evicted: flush their
-  // buckets wholesale.
-  for (NodeId h : update.added_hubs) {
-    const auto it = buckets_.find(h);
-    if (it == buckets_.end()) continue;
-    for (Entry& e : it->second.entries) e.state = Entry::State::kUnknown;
-  }
-
-  for (auto& [s, bucket] : buckets_) {
-    // A changed source row entry AT a VM changes that source's instance
-    // matrix (including the reachability gate): the whole bucket flushes
-    // when the stroll reads the full matrix, or — 2-strolls — exactly the
-    // entries at the changed VMs.  Infeasible outcomes survive anything
-    // weaker, feasible chains additionally need their lift paths
-    // untouched.
-    const auto it = row_of_.find(s);
-    if (it != row_of_.end()) {
-      const graph::MetricClosure::RowDelta& row = *it->second;
-      if (row.full) {
-        for (Entry& e : bucket.entries) e.state = Entry::State::kUnknown;
-        continue;
-      }
-      if (row_only) {
-        const auto& marks = row_marks(row);
-        for (std::size_t j = 0; j < key_vms_.size(); ++j) {
-          if (marks[static_cast<std::size_t>(key_vms_[j])]) {
-            bucket.entries[j].state = Entry::State::kUnknown;
-          }
-        }
-      } else {
-        bool dirty = false;
-        for (std::size_t i = 0; !dirty && i < row.nodes.size(); ++i) {
-          dirty = vm_mark_[static_cast<std::size_t>(row.nodes[i])] != 0;
-        }
-        if (dirty) {
-          for (Entry& e : bucket.entries) e.state = Entry::State::kUnknown;
-          continue;
-        }
-      }
-    }
-    for (Entry& e : bucket.entries) {
-      if (e.state == Entry::State::kFeasible && lift_stale(e.plan)) {
-        e.state = Entry::State::kUnknown;
-      }
-    }
-  }
+bool PricingSession::key_matches(const Problem& p, const std::vector<NodeId>& vms,
+                                 const AlgoOptions& opt) const {
+  const auto edges = p.network.edges();
+  return key_valid_ && key_nodes_ == p.network.node_count() &&
+         key_edges_.size() == edges.size() &&
+         std::equal(edges.begin(), edges.end(), key_edges_.begin(),
+                    [](const graph::Edge& a, const graph::Edge& b) {
+                      return a.u == b.u && a.v == b.v && a.cost == b.cost;
+                    }) &&
+         key_vms_ == vms && key_chain_length_ == p.chain_length && key_stroll_ == opt.stroll &&
+         key_node_cost_ == p.node_cost && key_source_setup_ == p.source_setup_cost;
 }
 
 void PricingSession::price_source(const Problem& p, const graph::MetricClosure& closure,
@@ -190,14 +62,11 @@ void PricingSession::price_source(const Problem& p, const graph::MetricClosure& 
 std::vector<PricedChain> PricingSession::price(const Problem& p,
                                                const graph::MetricClosure& closure,
                                                const std::vector<NodeId>& sources,
-                                               const ClosureUpdate& update,
+                                               const ClosureUpdate& /*update*/,
                                                const AlgoOptions& opt, int num_threads,
                                                PricingTally* tally) {
   assert(p.well_formed());
   assert(p.chain_length >= 1 && "multicast-only problems have no chains to price");
-  // A direct price() call leaves epoch mode: the caller's own update
-  // stream now keys the cache, so the next price_epoch must flush.
-  epoch_seen_ = false;
   PricingTally local;
   PricingTally& t = tally != nullptr ? *tally : local;
   t = PricingTally{};
@@ -205,59 +74,30 @@ std::vector<PricedChain> PricingSession::price(const Problem& p,
   const std::vector<NodeId> vms = p.vms();
   const std::vector<NodeId> srcs = sorted_unique(sources);
 
-  // --- 1. Session key: structural mismatches flush everything. ---
-  const bool key_ok = key_valid_ && key_nodes_ == p.network.node_count() && key_vms_ == vms &&
-                      key_chain_length_ == p.chain_length && key_stroll_ == opt.stroll &&
-                      source_setup_cache_ == p.source_setup_cost;
-  if (!key_ok) {
-    buckets_.clear();
+  // --- 1. Price key: any mismatch flushes every chain and the block.
+  // Bucket storage survives (capacity is the point of a session); only
+  // the cached outcomes are dropped. ---
+  if (!key_matches(p, vms, opt)) {
+    for (auto& [s, bucket] : buckets_) {
+      (void)s;
+      for (Entry& e : bucket.entries) e.state = Entry::State::kUnknown;
+    }
     block_.invalidate();
+    const auto edges = p.network.edges();
     key_valid_ = true;
     key_nodes_ = p.network.node_count();
+    key_edges_.assign(edges.begin(), edges.end());
     key_vms_ = vms;
     key_chain_length_ = p.chain_length;
     key_stroll_ = opt.stroll;
-    source_setup_cache_ = p.source_setup_cost;
-    node_cost_cache_ = p.node_cost;
+    key_node_cost_ = p.node_cost;
+    key_source_setup_ = p.source_setup_cost;
     vm_pos_.clear();
     for (std::size_t j = 0; j < key_vms_.size(); ++j) vm_pos_.emplace(key_vms_[j], j);
     t.flushed = true;
-  } else {
-    // --- 2. Setup-cost deltas.  |C| >= 2: any changed node cost perturbs
-    // the shared setup terms of every instance matrix — full flush.
-    // |C| == 1: a 2-stroll's only entry carries only c(u), so just the
-    // chains whose last VM's setup moved re-price.  (Only VM costs can
-    // differ: well_formed pins switches to zero.) ---
-    const bool row_only = key_chain_length_ == 1;
-    const bool costs_changed = node_cost_cache_ != p.node_cost;
-    if (update.kind == ClosureUpdate::Kind::kRebuilt || (costs_changed && !row_only)) {
-      flush_chains();
-      block_.invalidate();
-      t.flushed = true;
-    } else {
-      if (costs_changed) {
-        // The block's shared-setup terms go stale too, but a 2-stroll
-        // never reads them — the block is invalidated on the key flush
-        // that ends any |C| == 1 epoch.
-        for (std::size_t j = 0; j < key_vms_.size(); ++j) {
-          const auto v = static_cast<std::size_t>(key_vms_[j]);
-          if (node_cost_cache_[v] == p.node_cost[v]) continue;
-          for (auto& [s, bucket] : buckets_) {
-            (void)s;
-            bucket.entries[j].state = Entry::State::kUnknown;
-          }
-        }
-      }
-      if (update.kind == ClosureUpdate::Kind::kRepaired) {
-        // --- 3. Closure repair: row-level and chain-level invalidation. ---
-        apply_update(p, update, t);
-      }
-      // kUnchanged: the closure is bitwise the cached one; nothing to do.
-    }
-    if (costs_changed) node_cost_cache_ = p.node_cost;
   }
 
-  // --- 4. Materialize buckets for the requested sources, and bound the
+  // --- 2. Materialize buckets for the requested sources, and bound the
   // session: on a long stream of fresh random sources (the Inet-scale
   // panels) every bucket holds |M| cached plans, so churned-out sources
   // must not accumulate forever.  Evicting is always sound — a dropped
@@ -274,7 +114,7 @@ std::vector<PricedChain> PricingSession::price(const Problem& p,
     if (b.entries.size() != key_vms_.size()) b.entries.assign(key_vms_.size(), Entry{});
   }
 
-  // --- 5. Shared block: (re)built once per call at most — the cost of
+  // --- 3. Shared block: (re)built once per call at most — the cost of
   // pricing ONE source the slow way buys the fast path for all of them. ---
   if (!block_.valid() && !key_vms_.empty()) {
     bool needed = false;
@@ -292,9 +132,9 @@ std::vector<PricedChain> PricingSession::price(const Problem& p,
     if (needed) block_.build(closure, key_vms_, p.node_cost);
   }
 
-  // --- 6. Price: same fixed source striping as price_candidate_chains,
-  // so the concatenated buckets reproduce the serial output bit for bit
-  // at any thread count. ---
+  // --- 4. Price: sources striped over workers in a fixed assignment, each
+  // into its own bucket, so the concatenated buckets reproduce the serial
+  // output bit for bit at any thread count. ---
   const std::size_t workers = std::min<std::size_t>(
       static_cast<std::size_t>(std::max(num_threads, 1)), std::max<std::size_t>(srcs.size(), 1));
   if (assemblers_.size() < workers) assemblers_.resize(workers);
@@ -332,29 +172,6 @@ std::vector<PricedChain> PricingSession::price(const Problem& p,
     t.repriced += per_repriced[i];
   }
   return candidates;
-}
-
-std::vector<PricedChain> PricingSession::price_epoch(const Problem& p,
-                                                     const graph::MetricClosure& closure,
-                                                     const std::vector<NodeId>& sources,
-                                                     std::uint64_t generation,
-                                                     const ClosureUpdate& update,
-                                                     const AlgoOptions& opt, int num_threads,
-                                                     PricingTally* tally) {
-  // Generation dedup (pricing.hpp): the publisher hands the SAME update to
-  // every worker that prices during an epoch, so only the first call of a
-  // generation may apply it; a repeat sees an unchanged closure and a gap
-  // (or a mode switch, or a brand-new session) flushes.
-  ClosureUpdate effective = update;
-  if (epoch_seen_ && generation == epoch_generation_) {
-    effective = ClosureUpdate::unchanged();
-  } else if (!epoch_seen_ || generation != epoch_generation_ + 1) {
-    effective = ClosureUpdate::rebuilt();
-  }
-  auto out = price(p, closure, sources, effective, opt, num_threads, tally);
-  epoch_seen_ = true;  // price() cleared it; this call stays in epoch mode
-  epoch_generation_ = generation;
-  return out;
 }
 
 }  // namespace sofe::core

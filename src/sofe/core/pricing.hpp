@@ -1,41 +1,28 @@
 #pragma once
-// Repair-aware k-stroll pricing: the delta-driven candidate-chain cache
+// Price-keyed k-stroll pricing: the session candidate-chain cache
 // (DESIGN.md §9).
 //
-// PR 4 made the metric closure incremental; on the paper-scale online
-// panels the remaining per-arrival wall clock is k-stroll pricing, which
-// the free functions redo from scratch every solve.  PricingSession
-// extends the delta principle one layer up: it keeps every PricedChain
-// keyed per (source, last VM) across solves and consumes the same
-// closure-change stream api::ClosureSession already computes —
-// invalidating exactly the chains whose closure rows, lift paths or setup
-// costs were touched, re-pricing those through the shared-block instance
-// assembly (kstroll/pricing.hpp), and serving the rest from cache.  The
-// output is bitwise identical to core::price_candidate_chains at any
-// thread count (tested, and asserted end-to-end by bench_fig12_online's
-// differential run).
+// SOFDA prices one chain per (source, last VM) on every solve.
+// PricingSession is the only pricing path: it assembles the Procedure-1
+// instances from one shared (VM, VM) block (kstroll/pricing.hpp) instead
+// of rebuilding every matrix per pair, and it keeps every PricedChain
+// across calls.  A cached chain is reused exactly when nothing it reads
+// has moved, which one price key decides:
 //
-// Invalidation contract (proofs and the full case analysis in DESIGN.md
-// §9):
-//   * closure rebuilt, VM set / chain length / stroll algorithm changed,
-//     or (|C| >= 2) ANY node setup cost changed -> every chain re-prices;
-//   * (|C| >= 2) a repaired VM row changed at a VM
-//                                               -> every chain re-prices
-//     (the stroll solver reads the whole matrix, and the shared (VM, VM)
-//     block is part of every instance);
-//   * a repaired source row changed at a VM, or the source hub was
-//     re-added after churning out (no deltas observed while absent)
-//                                               -> that source's bucket
-//     (|C| == 1: only the entries at the changed VMs — a 2-stroll reads
-//     nothing but its own (source, u) entry, so single-VNF chains
-//     invalidate row by row and survive VM-block churn);
-//   * otherwise a chain re-prices only if some repaired row changed on
-//     one of its lift-path segments — which catches the equal-cost
-//     plateau trap where a parent flips while every distance survives;
-//   * everything untouched                      -> cache hit, zero work.
+//   node count, edge list with costs, VM list, chain length, stroll
+//   algorithm, node costs and source setup costs.
+//
+// Any mismatch flushes every chain and the shared block; a match serves
+// every cached chain and prices only sources the session has not seen.
+// Sound because a closure row is a deterministic function of (graph, hub):
+// a rebuilt, repaired, extended, bounded or published closure over the
+// same graph holds bitwise the rows a cold build would, so a chain priced
+// against any of them reads the same inputs (DESIGN.md §9).  The output is
+// bitwise identical to the per-pair reference at any thread count
+// (tested, and asserted end to end by bench_fig12_online's differential
+// run).
 
 #include <cstdint>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -45,84 +32,36 @@
 
 namespace sofe::core {
 
-/// What happened to the metric closure since the previous price() call on
-/// the same session.  api::ClosureSession::last_update produces this from
-/// every acquire; callers without delta knowledge pass rebuilt() — always
-/// sound, never fast.  The spans must stay alive for the price() call.
+/// Unread by PricingSession::price (the price key decides every reuse).
+/// Kept only because perfbench/src/main.cpp passes ClosureUpdate::rebuilt();
+/// it goes with the next change to the benchmark.
 struct ClosureUpdate {
-  enum class Kind {
-    kUnchanged,  // bitwise the same closure (cache hit)
-    kRepaired,   // repaired in place; `rows` lists what may have changed
-    kRebuilt,    // rebuilt from scratch (or unknown provenance): flush
-  };
-  Kind kind = Kind::kRebuilt;
-  /// kRepaired: per-row over-approximated change sets (MetricClosure
-  /// refresh output).  Rows not listed are bitwise unchanged.
-  std::span<const graph::MetricClosure::RowDelta> rows;
-  /// kRepaired: hubs (re)built by an incremental extend.  A re-added
-  /// source hub observed no deltas while absent, so its bucket flushes.
-  std::span<const NodeId> added_hubs;
-
-  static ClosureUpdate unchanged() noexcept { return {Kind::kUnchanged, {}, {}}; }
-  static ClosureUpdate rebuilt() noexcept { return {Kind::kRebuilt, {}, {}}; }
+  static ClosureUpdate rebuilt() noexcept { return {}; }
 };
 
 /// Per-price() cache-effect counters, surfaced through api::SolveReport
 /// and the bench's per-phase breakdown.
 struct PricingTally {
   int hits = 0;        // chains served from cache, bitwise unchanged
-  int repriced = 0;    // chains re-priced (cold, invalidated, or flushed)
-  bool flushed = false;  // this call dropped every cached chain
+  int repriced = 0;    // chains priced this call (cold or flushed)
+  bool flushed = false;  // the price key moved: every cached chain dropped
 };
 
-/// Session-scoped PricedChain cache.  One PricingSession serves one
-/// logical stream of Problems whose closure is maintained by one
-/// ClosureSession (api::SofdaSolver owns exactly that pair); price() must
-/// see every closure change exactly once via `update`.  Sessions are
-/// single-threaded objects; `num_threads` parallelism happens inside a
-/// price() call and is bit-identical to serial (per-source buckets,
-/// fixed striping — the same scheme as core::price_candidate_chains).
+/// Session-scoped PricedChain cache.  Sessions are single-threaded
+/// objects; `num_threads` parallelism happens inside a price() call and is
+/// bit-identical to serial (per-source buckets, fixed striping).
 class PricingSession {
  public:
-  /// Drop-in replacement for core::price_candidate_chains (same canonical
-  /// (source, last_vm) output order, bitwise-identical plans): serves
-  /// cached chains that survived `update`, re-prices the rest.  Requires
-  /// p.chain_length >= 1 and closure trees for every VM and every source.
+  /// Prices every feasible (source, last VM) chain for `sources` in the
+  /// canonical (source, last_vm) order core::price_candidate_chains
+  /// documents: serves cached chains when the price key matches the
+  /// previous call's, prices the rest.  Requires p.chain_length >= 1,
+  /// closure trees for every VM and every source, and a closure built
+  /// over p.network's current costs.
   std::vector<PricedChain> price(const Problem& p, const graph::MetricClosure& closure,
                                  const std::vector<NodeId>& sources, const ClosureUpdate& update,
                                  const AlgoOptions& opt, int num_threads = 1,
                                  PricingTally* tally = nullptr);
-
-  /// Fork-from-epoch mode (DESIGN.md §10): N worker sessions price against
-  /// ONE publisher-maintained closure whose change stream arrives once per
-  /// epoch as (generation, update) — api::ClosureEpoch.  A session must
-  /// see every closure change exactly once, but an epoch's update reaches
-  /// every worker that prices during it; this entry point dedups by
-  /// generation so each worker applies each epoch's movement once:
-  ///   * same generation as the previous call  -> the closure is bitwise
-  ///     the one already observed: unchanged();
-  ///   * exactly the next generation           -> `update` describes the
-  ///     one-step advance: apply it;
-  ///   * a gap, or the session's first epoch   -> this worker missed at
-  ///     least one epoch's row deltas (it priced nothing that epoch):
-  ///     flush — sound, never fast.
-  /// Mixing price() and price_epoch() on one session re-keys the cache to
-  /// whichever closure came last: the next price_epoch after a plain
-  /// price() flushes (first-epoch rule), and callers switching the other
-  /// way must invalidate() — the epoch closure's changes are not in their
-  /// own update stream.
-  std::vector<PricedChain> price_epoch(const Problem& p, const graph::MetricClosure& closure,
-                                       const std::vector<NodeId>& sources,
-                                       std::uint64_t generation, const ClosureUpdate& update,
-                                       const AlgoOptions& opt, int num_threads = 1,
-                                       PricingTally* tally = nullptr);
-
-  /// Drops every cached chain and the shared block (next price() starts
-  /// cold).  Call when closure changes may have gone unobserved.
-  void invalidate();
-
-  /// Cached chains currently held across all buckets (diagnostics).
-  std::size_t cached_chains() const noexcept;
 
  private:
   struct Entry {
@@ -134,41 +73,28 @@ class PricingSession {
     std::vector<Entry> entries;  // indexed by position in the VM list
   };
 
-  void flush_chains();
-  void apply_update(const Problem& p, const ClosureUpdate& update, PricingTally& tally);
-  bool lift_stale(const ChainPlan& plan);
-  const std::vector<std::uint8_t>& row_marks(const graph::MetricClosure::RowDelta& row);
+  bool key_matches(const Problem& p, const std::vector<NodeId>& vms,
+                   const AlgoOptions& opt) const;
   void price_source(const Problem& p, const graph::MetricClosure& closure, NodeId s,
                     Bucket& bucket, kstroll::InstanceAssembler& assembler,
                     const AlgoOptions& opt, std::vector<PricedChain>& out, int& hits,
                     int& repriced);
 
-  // Epoch-mode state (price_epoch): the last generation whose update this
-  // session consumed.  Reset by price() so mode switches never replay or
-  // skip an update.
-  bool epoch_seen_ = false;
-  std::uint64_t epoch_generation_ = 0;
-
-  // Session key: a mismatch on any of these is a structural change that
-  // flushes everything (chains AND block).
+  // The price key: everything a cached chain reads.
   bool key_valid_ = false;
   NodeId key_nodes_ = 0;
+  std::vector<graph::Edge> key_edges_;
   std::vector<NodeId> key_vms_;
   int key_chain_length_ = 0;
   kstroll::StrollAlgorithm key_stroll_ = kstroll::StrollAlgorithm::kCheapestInsertion;
-  std::vector<Cost> node_cost_cache_;
-  std::vector<Cost> source_setup_cache_;
+  std::vector<Cost> key_node_cost_;
+  std::vector<Cost> key_source_setup_;
 
   kstroll::SharedVmBlock block_;
   std::unordered_map<NodeId, std::size_t> vm_pos_;  // VM -> index in key_vms_
   std::unordered_map<NodeId, Bucket> buckets_;
 
   std::vector<kstroll::InstanceAssembler> assemblers_;  // one per worker
-  // apply_update scratch: VM membership marks, the row lookup, and
-  // lazily-built per-row changed-node bitmaps for the lift-path checks.
-  std::vector<std::uint8_t> vm_mark_;
-  std::unordered_map<NodeId, const graph::MetricClosure::RowDelta*> row_of_;
-  std::unordered_map<NodeId, std::vector<std::uint8_t>> row_mark_cache_;
 };
 
 }  // namespace sofe::core

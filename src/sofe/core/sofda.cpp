@@ -4,7 +4,6 @@
 #include <cassert>
 #include <map>
 #include <set>
-#include <thread>
 
 #include "sofe/core/pricing.hpp"
 #include "sofe/graph/mst.hpp"
@@ -82,57 +81,9 @@ ServiceForest multicast_only(const Problem& p, const AlgoOptions& opt) {
 std::vector<PricedChain> price_candidate_chains(const Problem& p,
                                                 const graph::MetricClosure& closure,
                                                 const std::vector<NodeId>& sources,
-                                                const AlgoOptions& opt, int num_threads,
-                                                PricingSession* session,
-                                                const ClosureUpdate* update,
-                                                PricingTally* tally) {
-  if (session != nullptr) {
-    return session->price(p, closure, sources,
-                          update != nullptr ? *update : ClosureUpdate::rebuilt(), opt,
-                          num_threads, tally);
-  }
-  const std::vector<NodeId> vms = p.vms();
-  const std::vector<NodeId> srcs = sorted_unique(sources);
-  const auto price_source = [&](NodeId s, std::vector<PricedChain>& out) {
-    for (NodeId u : vms) {
-      if (u == s) continue;
-      ChainPlan plan = plan_chain_walk(p, closure, s, vms, u, opt);
-      if (plan.feasible()) {
-        out.push_back(PricedChain{s, u, std::move(plan)});
-      }
-    }
-  };
-
-  const std::size_t workers = std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(num_threads, 1)), std::max<std::size_t>(srcs.size(), 1));
-  std::vector<PricedChain> candidates;
-  if (workers <= 1) {
-    for (NodeId s : srcs) price_source(s, candidates);
-    return candidates;
-  }
-
-  // Parallel path: stripe sources over workers; every source writes into its
-  // own bucket, so concatenating buckets in ascending-source order yields
-  // exactly the serial output.  Workers only read `p`, `vms` and the
-  // prebuilt closure — plan_chain_walk is pure given those.
-  std::vector<std::vector<PricedChain>> per_source(srcs.size());
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&, w] {
-      for (std::size_t i = w; i < srcs.size(); i += workers) {
-        price_source(srcs[i], per_source[i]);
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  std::size_t total = 0;
-  for (const auto& bucket : per_source) total += bucket.size();
-  candidates.reserve(total);
-  for (auto& bucket : per_source) {
-    for (PricedChain& c : bucket) candidates.push_back(std::move(c));
-  }
-  return candidates;
+                                                const AlgoOptions& opt, int num_threads) {
+  PricingSession session;
+  return session.price(p, closure, sources, {}, opt, num_threads);
 }
 
 void merge_priced_chains(std::vector<PricedChain>& chains) {
@@ -141,8 +92,7 @@ void merge_priced_chains(std::vector<PricedChain>& chains) {
   });
 }
 
-ServiceForest sofda(const Problem& p, const AlgoOptions& opt, SofdaStats* stats,
-                    PricingSession* pricing) {
+ServiceForest sofda(const Problem& p, const AlgoOptions& opt, SofdaStats* stats) {
   assert(p.well_formed());
   SofdaStats local;
   SofdaStats& st = stats ? *stats : local;
@@ -157,10 +107,7 @@ ServiceForest sofda(const Problem& p, const AlgoOptions& opt, SofdaStats* stats,
   const graph::MetricClosure closure(p.network, hubs, opt.closure_threads);
 
   // --- Step 1: price candidate service chains for every (source, last VM).
-  // The closure is freshly built, so a session prices under the
-  // conservative rebuilt() update (bitwise the same candidates; tested).
-  const auto candidates = price_candidate_chains(p, closure, p.sources, opt,
-                                                 opt.closure_threads, pricing);
+  const auto candidates = price_candidate_chains(p, closure, p.sources, opt, opt.closure_threads);
   return sofda_from_candidates(p, closure, candidates, opt, stats);
 }
 

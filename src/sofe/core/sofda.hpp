@@ -19,10 +19,6 @@
 
 namespace sofe::core {
 
-class PricingSession;   // pricing.hpp: the repair-aware chain cache (DESIGN.md §9)
-struct ClosureUpdate;   //   what changed in the closure since its last price()
-struct PricingTally;    //   per-call hit/reprice counters
-
 struct SofdaStats {
   ConflictStats conflicts;
   int candidate_chains = 0;   // feasible (source, last VM) pairs priced
@@ -40,12 +36,9 @@ struct SofdaStats {
 
 /// Runs SOFDA.  Returns an empty forest when the instance is infeasible
 /// (no destinations, or no source can reach a full chain and a destination).
-/// A non-null `pricing` prices through the session cache with a
-/// conservative rebuilt() update (this one-shot builds a fresh closure, so
-/// every chain re-prices — the session's value here is the shared-block
-/// assembly and API uniformity; persistent reuse lives in api::Solver).
+/// Chain reuse across solves lives in api::Solver ("sofda" sessions).
 ServiceForest sofda(const Problem& p, const AlgoOptions& opt = {},
-                    SofdaStats* stats = nullptr, PricingSession* pricing = nullptr);
+                    SofdaStats* stats = nullptr);
 
 /// One priced candidate service chain: a feasible (source, last VM) pair and
 /// its Procedure-2 walk plan.  The unit of exchange between controllers in
@@ -64,29 +57,16 @@ struct PricedChain {
 /// (source, last_vm) reproduces exactly what one call over the union yields.
 /// `closure` must hold Dijkstra trees for every source and every VM.
 ///
-/// `num_threads` > 1 prices sources in parallel: pricing is embarrassingly
-/// parallel over sources (each k-stroll reads only the shared, read-only
-/// closure), so sources are striped over workers and each source's
-/// candidates land in a preassigned bucket; concatenating the buckets in
-/// ascending-source order reproduces the serial output bit for bit at any
-/// thread count (tested).  Values < 1 are clamped to 1.
-///
-/// A non-null `session` routes the call through the repair-aware
-/// PricedChain cache (pricing.hpp, DESIGN.md §9): chains whose closure
-/// rows survived `update` (rebuilt() when null — always sound) are served
-/// from cache, the rest re-price through the shared-block assembly.
-/// Output is bitwise identical either way; `tally` receives the
-/// hit/reprice counts.  api::SofdaSolver threads its per-solve
-/// ClosureSession outcome through here so pricing state persists across
-/// online::simulate arrivals.
+/// A one-shot core::PricingSession (pricing.hpp): the shared-block instance
+/// assembly is the only pricing path.  `num_threads` > 1 stripes sources
+/// over workers in a fixed assignment, each source into its own bucket, so
+/// the output is bitwise the serial one at any thread count (tested).
+/// Values < 1 are clamped to 1.  Requires chain_length >= 1.
 std::vector<PricedChain> price_candidate_chains(const Problem& p,
                                                 const graph::MetricClosure& closure,
                                                 const std::vector<NodeId>& sources,
                                                 const AlgoOptions& opt = {},
-                                                int num_threads = 1,
-                                                PricingSession* session = nullptr,
-                                                const ClosureUpdate* update = nullptr,
-                                                PricingTally* tally = nullptr);
+                                                int num_threads = 1);
 
 /// Coordinator-side merge of per-controller pricing outputs: restores the
 /// canonical (source, last_vm) order a single price_candidate_chains call

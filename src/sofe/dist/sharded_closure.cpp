@@ -225,9 +225,19 @@ void ShardedClosure::build(const Graph& g, Partition part, std::vector<NodeId> h
   stats_.stitch_seconds = seconds_since(t0);
 }
 
+std::vector<Cost> ShardedClosure::target_distances(int d) const {
+  const auto& ds = domains_[static_cast<std::size_t>(d)];
+  std::vector<Cost> out;
+  out.reserve(ds.roots.size() * ds.targets_local.size());
+  for (NodeId root : ds.roots) {
+    const auto t = ds.local.tree(static_cast<NodeId>(dg_.local(root)));
+    for (NodeId tl : ds.targets_local) out.push_back(t.distance(tl));
+  }
+  return out;
+}
+
 void ShardedClosure::refresh(const Graph& g, std::span<const graph::EdgeCostDelta> deltas,
-                             int num_threads, MessageBus& bus,
-                             std::vector<graph::MetricClosure::RowDelta>* changed) {
+                             int num_threads, MessageBus& bus) {
   assert(!bounded_ && "bounded sharded closures are not repairable");
   const int k = part_.num_domains;
 
@@ -246,25 +256,29 @@ void ShardedClosure::refresh(const Graph& g, std::span<const graph::EdgeCostDelt
     dg_.domains[static_cast<std::size_t>(dm)].subgraph.set_edge_cost(le, dc.new_cost);
   }
 
-  // Owning domains repair their local closures; only the dirtied rows
-  // re-advertise, and only non-coordinator rows re-ship — the incremental
-  // comms path.
+  // Owning domains repair their local closures; a row re-advertises only
+  // when its advertisement moved (chain-edge set or target distances), and
+  // only non-coordinator rows re-ship — the incremental comms path.
   bool sent = false;
-  std::vector<graph::MetricClosure::RowDelta> local_changed;
   for (int d = 0; d < k; ++d) {
     const auto du = static_cast<std::size_t>(d);
     if (local_deltas[du].empty()) continue;
     auto& ds = domains_[du];
-    ds.local.refresh(dg_.domains[du].subgraph, local_deltas[du], num_threads, nullptr,
-                     &local_changed);
-    for (const auto& rc : local_changed) {
-      const int row = ds.row_of_local[static_cast<std::size_t>(rc.hub)];
-      assert(row >= 0 && "local refresh reported a non-root row");
-      swap_row_advert(d, row, advertise_row(d, ds.roots[static_cast<std::size_t>(row)]),
-                      first_touch);
+    const std::vector<Cost> before = target_distances(d);
+    ds.local.refresh(dg_.domains[du].subgraph, local_deltas[du], num_threads);
+    const std::vector<Cost> after = target_distances(d);
+    const std::size_t width = ds.targets_local.size();
+    for (std::size_t row = 0; row < ds.roots.size(); ++row) {
+      std::vector<EdgeId> fresh = advertise_row(d, ds.roots[row]);
+      const auto at = static_cast<std::ptrdiff_t>(row * width);
+      if (fresh == ds.advert[row] &&
+          std::equal(before.begin() + at, before.begin() + at + static_cast<std::ptrdiff_t>(width),
+                     after.begin() + at)) {
+        continue;
+      }
+      swap_row_advert(d, static_cast<int>(row), std::move(fresh), first_touch);
       ++stats_.repaired_rows;
-      const std::size_t entries =
-          ds.advert[static_cast<std::size_t>(row)].size() + ds.targets_local.size();
+      const std::size_t entries = ds.advert[row].size() + width;
       if (d != 0) {
         bus.send(entries);
         ++stats_.exchanged_rows;
@@ -300,16 +314,13 @@ void ShardedClosure::refresh(const Graph& g, std::span<const graph::EdgeCostDelt
 
   if (!mask_deltas.empty()) {
     const auto t0 = Clock::now();
-    stitched_.refresh(masked_, mask_deltas, num_threads, nullptr, changed);
+    stitched_.refresh(masked_, mask_deltas, num_threads);
     stats_.stitch_seconds += seconds_since(t0);
-  } else if (changed != nullptr) {
-    changed->clear();
   }
 }
 
 void ShardedClosure::extend(const Graph& g, const std::vector<NodeId>& hubs, int num_threads,
-                            MessageBus& bus,
-                            std::vector<graph::MetricClosure::RowDelta>* changed) {
+                            MessageBus& bus) {
   assert(!bounded_ && "bounded sharded closures are not extendable");
   const int k = part_.num_domains;
 
@@ -408,15 +419,7 @@ void ShardedClosure::extend(const Graph& g, const std::vector<NodeId>& hubs, int
 
   hubs_.insert(hubs_.end(), missing.begin(), missing.end());
   const auto t0 = Clock::now();
-  if (!mask_deltas.empty()) {
-    std::vector<graph::MetricClosure::RowDelta> flips;
-    stitched_.refresh(masked_, mask_deltas, num_threads, nullptr,
-                      changed != nullptr ? &flips : nullptr);
-    if (changed != nullptr) {
-      changed->insert(changed->end(), std::make_move_iterator(flips.begin()),
-                      std::make_move_iterator(flips.end()));
-    }
-  }
+  if (!mask_deltas.empty()) stitched_.refresh(masked_, mask_deltas, num_threads);
   stitched_.extend(masked_, hubs_, num_threads);
   stats_.stitch_seconds += seconds_since(t0);
 }

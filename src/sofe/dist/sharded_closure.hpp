@@ -31,10 +31,11 @@
 //
 // Incremental (repairable builds only): an EdgeCostDelta batch routes to
 // the owning domain (cross-link deltas hit the mask directly), the local
-// closures repair in place, and only the dirtied rows re-advertise — their
-// edge-set diffs become refcount moves on the mask, mask flips are
-// themselves legal EdgeCostDeltas, and the stitched closure repairs through
-// MetricClosure::refresh.  api::ClosureSession drives this path.
+// closures repair in place, and only the rows whose advertisement moved
+// re-ship — their edge-set diffs become refcount moves on the mask, mask
+// flips are themselves legal EdgeCostDeltas, and the stitched closure
+// repairs through MetricClosure::refresh.  api::ClosureSession drives this
+// path.
 
 #include <cstddef>
 #include <span>
@@ -58,7 +59,7 @@ class ShardedClosure {
     std::size_t exchanged_bytes = 0;
     int exchange_rounds = 0;
     std::size_t skeleton_edges = 0;   // unmasked (advertised) edges of the stitch graph
-    std::size_t repaired_rows = 0;    // cumulative dirtied rows over refresh()/extend()
+    std::size_t repaired_rows = 0;    // cumulative re-advertised rows over refresh()/extend()
     double local_build_seconds_max = 0.0;    // slowest controller: the parallel critical path
     double local_build_seconds_total = 0.0;  // sum over controllers: the k=1 work
     double stitch_seconds = 0.0;
@@ -78,20 +79,19 @@ class ShardedClosure {
 
   /// Repairs after the edge-cost mutations in `deltas` (g already carries
   /// the new costs; same preconditions as MetricClosure::refresh).  Deltas
-  /// route to their owning domain, dirtied rows re-advertise and re-ship
-  /// (charged), and the stitched closure repairs from the resulting mask
-  /// deltas.  `changed` (optional) receives the stitched closure's
-  /// RowDeltas — the pricing invalidation feed.  Unbounded builds only.
+  /// route to their owning domain; a repaired domain re-advertises every
+  /// row whose chain-edge set or target distances moved, and re-ships
+  /// (charged) exactly those; the stitched closure repairs from the
+  /// resulting mask deltas.  Unbounded builds only.
   void refresh(const Graph& g, std::span<const graph::EdgeCostDelta> deltas, int num_threads,
-               MessageBus& bus, std::vector<graph::MetricClosure::RowDelta>* changed = nullptr);
+               MessageBus& bus);
 
   /// Adds rows for hubs not yet present (the session's churned-in sources).
   /// Owning domains grow local roots and targets, every root of an owning
   /// domain re-advertises toward the new hubs, freshly unmasked edges
-  /// repair the stitched closure (RowDeltas appended to `changed`), and the
-  /// new hub trees extend it.  Unbounded builds only.
-  void extend(const Graph& g, const std::vector<NodeId>& hubs, int num_threads, MessageBus& bus,
-              std::vector<graph::MetricClosure::RowDelta>* changed = nullptr);
+  /// repair the stitched closure, and the new hub trees extend it.
+  /// Unbounded builds only.
+  void extend(const Graph& g, const std::vector<NodeId>& hubs, int num_threads, MessageBus& bus);
 
   /// Drops stitched rows whose hub is not in `hubs`.  Local roots and their
   /// advertisements are kept warm (a returning hub costs no re-exchange);
@@ -125,6 +125,9 @@ class ShardedClosure {
 
   void build_domain(int d, int inner_threads);
   std::vector<EdgeId> advertise_row(int d, NodeId root_global) const;
+  /// Every row's distances to the domain's targets, row-major (the
+  /// distance slots of the advertisement).
+  std::vector<Cost> target_distances(int d) const;
   /// Applies an advert edge-set change for one row: refcount moves plus
   /// first-touch recording of the edge's pre-refresh effective mask cost.
   void swap_row_advert(int d, int row, std::vector<EdgeId> fresh,

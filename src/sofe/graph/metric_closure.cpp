@@ -79,10 +79,8 @@ void MetricClosure::extend(const Graph& g, const std::vector<NodeId>& hubs, int 
 }
 
 void MetricClosure::refresh(const Graph& g, std::span<const EdgeCostDelta> deltas,
-                            int num_threads, ShortestPathEngine* engine,
-                            std::vector<RowDelta>* changed) {
+                            int num_threads, ShortestPathEngine* engine) {
   assert(!bounded_ && "truncated trees cannot be repaired; rebuild instead");
-  if (changed != nullptr) changed->clear();
   if (deltas.empty() || rows_.empty()) return;
   ++write_gen_;
 
@@ -217,32 +215,13 @@ void MetricClosure::refresh(const Graph& g, std::span<const EdgeCostDelta> delta
     dst.gen = write_gen_;
   }
 
-  // Per-repair change records (preassigned slots so the parallel stripes
-  // write disjoint locations; only filled when the caller wants them).
-  struct RepairOutcome {
-    bool changed = false;
-    bool full = false;
-    std::vector<NodeId> nodes;
-  };
-  std::vector<RepairOutcome> outcomes(changed != nullptr ? repairs.size() : 0);
-  const auto repair_one = [&](ShortestPathEngine& eng, std::size_t ri) {
-    if (changed == nullptr) {
-      eng.repair(row_view(repairs[ri]), deltas);
-      return;
-    }
-    RepairOutcome& out = outcomes[ri];
-    const auto stats = eng.repair(row_view(repairs[ri]), deltas, &out.nodes);
-    out.changed = stats.changed_anything();
-    out.full = stats.fell_back;
-  };
-
   const std::size_t workers = std::min<std::size_t>(
       static_cast<std::size_t>(std::max(num_threads, 1)), std::max<std::size_t>(repairs.size(), 1));
   if (workers <= 1) {
     ShortestPathEngine local;
     ShortestPathEngine& eng = engine != nullptr ? *engine : local;
     eng.attach(g);
-    for (std::size_t ri = 0; ri < repairs.size(); ++ri) repair_one(eng, ri);
+    for (std::size_t s : repairs) eng.repair(row_view(s), deltas);
   } else {
     g.ensure_csr();  // the lazy csr() cost refresh is not thread-safe on a miss
     std::vector<std::thread> pool;
@@ -250,59 +229,18 @@ void MetricClosure::refresh(const Graph& g, std::span<const EdgeCostDelta> delta
     for (std::size_t w = 0; w < workers; ++w) {
       pool.emplace_back([&, w] {
         ShortestPathEngine worker(g);
-        for (std::size_t ri = w; ri < repairs.size(); ri += workers) repair_one(worker, ri);
+        for (std::size_t ri = w; ri < repairs.size(); ri += workers) {
+          worker.repair(row_view(repairs[ri]), deltas);
+        }
       });
     }
     for (std::thread& t : pool) t.join();
   }
 
-  // Directly repaired rows are their own memo (and change report).
-  std::vector<std::size_t> slot_outcome(changed != nullptr ? n_slots : 0, SIZE_MAX);
-  for (std::size_t ri = 0; ri < repairs.size(); ++ri) {
-    derive_memo_[repairs[ri]] = DeriveMemo{};
-    if (changed == nullptr) continue;
-    slot_outcome[repairs[ri]] = ri;
-    const RepairOutcome& out = outcomes[ri];
-    if (out.changed) {
-      changed->push_back(RowDelta{slot_hub[repairs[ri]], out.full, out.nodes});
-    }
-  }
-
-  // One pass over the deltas buys O(1) tap-edge membership checks below
-  // (delta lists can reach E/4 on the repair path, derive jobs one per tap).
-  std::unordered_set<EdgeId> delta_edges;
-  if (!derives.empty()) {
-    delta_edges.reserve(deltas.size());
-    for (const EdgeCostDelta& d : deltas) delta_edges.insert(d.edge);
-  }
-  const auto edge_in_deltas = [&](EdgeId e) { return delta_edges.contains(e); };
-
   for (const Job& job : derives) {
     const NodeId v = slot_hub[job.slot];
     const Tap& t = taps[job.slot];
     const NodeId from_hub = slot_hub[job.from];
-    if (changed != nullptr) {
-      // The derived tree inherits its representative's change set — exact
-      // (DESIGN.md §9).  Every derivation of the same (host, tap edge) is
-      // the same "host image" tree regardless of WHICH sibling served as
-      // representative, so the memo only has to certify that the old tree
-      // was such an image (from_hub set, same host/edge) and that no tap
-      // edge involved was repriced across the delta (a 0 <-> nonzero flip
-      // voids the zero-cost-equivalence on one side); otherwise the whole
-      // row must be treated as changed.
-      const DeriveMemo memo = derive_memo_[job.slot];
-      const bool same_shape = memo.from_hub != kInvalidNode && memo.host == t.host &&
-                              memo.edge == t.edge && !edge_in_deltas(t.edge) &&
-                              (from_hub == t.host || !edge_in_deltas(taps[job.from].edge));
-      const std::size_t rep_outcome = slot_outcome[job.from];
-      assert(rep_outcome != SIZE_MAX && "a derive source must be a repaired slot");
-      const RepairOutcome& rep = outcomes[rep_outcome];
-      if (!same_shape) {
-        changed->push_back(RowDelta{v, /*full=*/true, {}});
-      } else if (rep.changed) {
-        changed->push_back(RowDelta{v, rep.full, rep.nodes});
-      }
-    }
     // Dist is shared with the representative (re-pointed in the plan
     // above); only the idx row is copied, then fixed up.
     StoredRow& dst = rows_[job.slot];
@@ -316,7 +254,6 @@ void MetricClosure::refresh(const Graph& g, std::span<const EdgeCostDelta> delta
       derive_sibling_fixups(row_view(job.slot), from_hub, taps[job.from].edge, v, t.edge,
                             t.host);
     }
-    derive_memo_[job.slot] = DeriveMemo{from_hub, t.host, t.edge};
   }
 }
 
@@ -344,16 +281,13 @@ void MetricClosure::retain(const std::vector<NodeId>& hubs) {
     if (keep.contains(slot_hub[i])) kept_dist.insert(rows_[i].dist.get());
   }
   std::vector<StoredRow> kept;
-  std::vector<DeriveMemo> kept_memo;
   kept.reserve(rows_.size());
-  kept_memo.reserve(rows_.size());
   tree_index_.clear();
   std::unordered_set<const Cost*> released_dist;
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     if (keep.contains(slot_hub[i])) {
       tree_index_.emplace(slot_hub[i], kept.size());
       kept.push_back(std::move(rows_[i]));
-      kept_memo.push_back(derive_memo_[i]);
       continue;
     }
     StoredRow& row = rows_[i];
@@ -363,7 +297,6 @@ void MetricClosure::retain(const std::vector<NodeId>& hubs) {
     store_.release(std::move(row.idx));
   }
   rows_ = std::move(kept);
-  derive_memo_ = std::move(kept_memo);
 }
 
 void MetricClosure::snapshot_to(MetricClosure& out) const {
@@ -393,7 +326,6 @@ void MetricClosure::release_rows() {
   }
   rows_.clear();
   tree_index_.clear();
-  derive_memo_.clear();
 }
 
 std::size_t MetricClosure::memory_bytes() const {
@@ -430,7 +362,6 @@ void MetricClosure::build_or_extend(const Graph& g, const std::vector<NodeId>& h
       store_.release(std::move(row.idx));
     }
     rows_.clear();
-    derive_memo_.clear();
     store_.reset(n);
     n_ = n;
   } else {
@@ -449,9 +380,6 @@ void MetricClosure::build_or_extend(const Graph& g, const std::vector<NodeId>& h
     fresh.push_back(h);
   }
   rows_.resize(base + fresh.size());
-  derive_memo_.resize(base + fresh.size());
-  std::fill(derive_memo_.begin() + static_cast<std::ptrdiff_t>(base), derive_memo_.end(),
-            DeriveMemo{});
 
   // Classify the new hubs: a zero-cost degree-1 tap is derived from its
   // host's tree instead of running its own Dijkstra — unless the host is a
@@ -554,10 +482,7 @@ void MetricClosure::build_or_extend(const Graph& g, const std::vector<NodeId>& h
   // Derive every new tap hub from its host's finished image.  Siblings
   // copy the image's idx row BEFORE the image slot is converted to its
   // own tap's tree (in-place fixups, no copy), so the copy order below —
-  // non-image taps first, image taps last — matters.  The derivation memo
-  // records host-image shape: refresh() re-derives tap groups through a
-  // stored representative, so its shape check treats a host-derived memo
-  // as matching only when it derives from the host again.
+  // non-image taps first, image taps last — matters.
   for (std::size_t i = 0; i < fresh.size(); ++i) {
     const Tap& t = taps[i];
     if (t.host == kInvalidNode || is_image[i]) continue;
@@ -565,13 +490,11 @@ void MetricClosure::build_or_extend(const Graph& g, const std::vector<NodeId>& h
     std::memcpy(row.idx.get(), rows_[derive_source[i]].idx.get(),
                 2 * n_ * sizeof(std::int32_t));
     derive_tap_fixups(row_view(base + i), fresh[i], t.host, t.edge);
-    derive_memo_[base + i] = DeriveMemo{t.host, t.host, t.edge};
   }
   for (std::size_t i = 0; i < fresh.size(); ++i) {
     const Tap& t = taps[i];
     if (t.host == kInvalidNode || !is_image[i]) continue;
     derive_tap_fixups(row_view(base + i), fresh[i], t.host, t.edge);
-    derive_memo_[base + i] = DeriveMemo{t.host, t.host, t.edge};
   }
 }
 

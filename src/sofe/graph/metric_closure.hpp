@@ -41,20 +41,6 @@ struct ClosureScope {
 
 class MetricClosure {
  public:
-  /// One hub row's change report from refresh() (DESIGN.md §9): after a
-  /// repair, the row `hub` may differ from its pre-repair state only at the
-  /// listed `nodes` (an over-approximation — listed nodes may be unchanged,
-  /// unlisted nodes never changed; duplicates possible), or anywhere when
-  /// `full` is set (the repair fell back to a fresh run, or the tree was
-  /// re-derived through a different representative than last time).  Rows
-  /// that provably did not change are not reported at all.  This is the
-  /// feed the repair-aware pricing cache (core::PricingSession) subscribes
-  /// to through api::ClosureSession.
-  struct RowDelta {
-    NodeId hub = kInvalidNode;
-    bool full = false;
-    std::vector<NodeId> nodes;
-  };
   /// Builds the shortest-path tree of every node in `hubs` (duplicates
   /// tolerated) through a ShortestPathEngine over the graph's CSR view.
   ///
@@ -130,17 +116,8 @@ class MetricClosure {
   /// living in slabs pinned by a published epoch are relocated (copied)
   /// before the repair writes them — the copy-on-write half of
   /// snapshot_to()'s contract.
-  ///
-  /// `changed`, when given, is cleared and filled with one RowDelta per hub
-  /// row that may have changed (see RowDelta): directly repaired rows carry
-  /// the engine's touched-node over-approximation, tap-derived rows inherit
-  /// their representative's set when the derivation shape (representative,
-  /// host, tap edge) matches the previous build/refresh and the tap edges
-  /// sit outside `deltas` — else they are reported `full`.  Rows the repair
-  /// left bitwise untouched are omitted, which is what makes per-arrival
-  /// pricing-cache invalidation proportional to the affected rows.
   void refresh(const Graph& g, std::span<const EdgeCostDelta> deltas, int num_threads = 1,
-               ShortestPathEngine* engine = nullptr, std::vector<RowDelta>* changed = nullptr);
+               ShortestPathEngine* engine = nullptr);
 
   /// Drops every stored tree whose hub is not in `hubs` (kept trees stay
   /// in slot order); freed rows return to the store for recycling.  The
@@ -229,21 +206,8 @@ class MetricClosure {
     return TreeRow{row.source, row.dist.get(), idx, idx + n_, n_};
   }
 
-  /// How a slot's tree was last produced: derived from `from_hub`'s tree
-  /// (its own host, or a sibling-tap representative) through the zero-cost
-  /// `edge` to `host`, or run/repaired directly (from_hub == kInvalidNode).
-  /// refresh() compares this against its current derivation plan to decide
-  /// whether a derived row's change set can inherit the representative's
-  /// (shape unchanged) or must be reported full (shape changed).
-  struct DeriveMemo {
-    NodeId from_hub = kInvalidNode;
-    NodeId host = kInvalidNode;
-    EdgeId edge = kInvalidEdge;
-  };
-
   RowStore store_;
   std::vector<StoredRow> rows_;
-  std::vector<DeriveMemo> derive_memo_;  // parallel to rows_
   std::unordered_map<NodeId, std::size_t> tree_index_;
   std::size_t n_ = 0;          // node count the rows cover
   std::uint64_t write_gen_ = 0;  // bumped by every mutating operation

@@ -183,18 +183,16 @@ void ShortestPathEngine::run_into(NodeId source, TreeRow out,
 }
 
 ShortestPathEngine::RepairStats ShortestPathEngine::repair(ShortestPathTree& tree,
-                                                           std::span<const EdgeCostDelta> deltas,
-                                                           std::vector<NodeId>* touched_out) {
+                                                           std::span<const EdgeCostDelta> deltas) {
   assert(tree.dist.size() == static_cast<std::size_t>(g_->node_count()) &&
          "repair requires a complete tree over the attached graph");
   return repair(TreeRow{tree.source, tree.dist.data(), tree.parent.data(),
                         tree.parent_edge.data(), tree.dist.size()},
-                deltas, touched_out);
+                deltas);
 }
 
 ShortestPathEngine::RepairStats ShortestPathEngine::repair(TreeRow tree,
-                                                           std::span<const EdgeCostDelta> deltas,
-                                                           std::vector<NodeId>* touched_out) {
+                                                           std::span<const EdgeCostDelta> deltas) {
   assert(g_ != nullptr && "engine is not attached to a graph");
   const CsrView& csr = g_->csr();  // also refreshes cached costs after set_edge_cost
   const auto n = static_cast<std::size_t>(g_->node_count());
@@ -270,7 +268,7 @@ ShortestPathEngine::RepairStats ShortestPathEngine::repair(TreeRow tree,
     for (NodeId v : mark_touched_) mark_[static_cast<std::size_t>(v)] = 0;
     mark_touched_.clear();
     run_into(tree.source, tree);
-    stats.fell_back = true;  // touched_out stays unfilled: every entry may differ
+    stats.fell_back = true;
     return stats;
   }
 
@@ -595,11 +593,6 @@ ShortestPathEngine::RepairStats ShortestPathEngine::repair(TreeRow tree,
     if (tie_arc && !has_bit(v, kPlateauSeen)) resolve_plateau(v);
   }
 
-  // mark_touched_ is the superset of everything this repair wrote or queued
-  // — exactly the over-approximated change set the pricing cache consumes.
-  if (touched_out != nullptr && stats.changed_anything()) {
-    touched_out->insert(touched_out->end(), mark_touched_.begin(), mark_touched_.end());
-  }
   for (NodeId v : mark_touched_) mark_[static_cast<std::size_t>(v)] = 0;
   mark_touched_.clear();
   return stats;

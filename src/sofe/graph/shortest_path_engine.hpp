@@ -107,19 +107,12 @@ class ShortestPathEngine {
   /// consulted).  Bit-identical to the ShortestPathTree overload.
   void run_into(NodeId source, TreeRow out, std::span<const NodeId> stop_targets = {});
 
-  /// Per-repair effect counters (diagnostics; tests, the repair-vs-
-  /// rebuild heuristics and the pricing-cache invalidation consume them).
+  /// Per-repair effect counters (diagnostics; tests read them).
   struct RepairStats {
     std::size_t invalidated = 0;  // nodes orphaned by increased tree arcs
     std::size_t improved = 0;     // nodes whose dist was otherwise rewritten
     std::size_t reparented = 0;   // nodes whose parent arc changed
     bool fell_back = false;       // oversized orphan set: run_into rewrote the tree
-
-    /// True when the repair may have altered any (dist, parent, parent_edge)
-    /// entry at all; false guarantees the tree is bitwise untouched.
-    bool changed_anything() const noexcept {
-      return fell_back || invalidated > 0 || improved > 0 || reparented > 0;
-    }
   };
 
   /// Delta-aware repair (Ramalingam–Reps style; DESIGN.md §8).  `tree` must
@@ -136,25 +129,13 @@ class ShortestPathEngine {
   /// fresh run from tree.source at the new costs: dist, parent and
   /// parent_edge, every entry (tested by fuzz against run_into).  Cost is
   /// proportional to the affected region plus |deltas|, not to |V| + |E|.
-  ///
-  /// `touched_out`, when given, receives every node whose tree entry may
-  /// have changed (appended; duplicates possible) — a sound OVER-approx of
-  /// the real change set: every dist rewrite, parent reassignment and
-  /// plateau replay lands in it, but queued-yet-unchanged fixup candidates
-  /// (delta endpoints, neighbors of touched nodes) may appear too.  This
-  /// is what the repair-aware pricing cache keys its invalidation on
-  /// (DESIGN.md §9).  When the repair falls back to a full run
-  /// (stats.fell_back), the list is NOT filled — treat every entry as
-  /// changed.
-  RepairStats repair(ShortestPathTree& tree, std::span<const EdgeCostDelta> deltas,
-                     std::vector<NodeId>* touched_out = nullptr);
+  RepairStats repair(ShortestPathTree& tree, std::span<const EdgeCostDelta> deltas);
 
   /// repair over a raw row view; `tree.source` must be set and the view
   /// must cover exactly node_count() entries.  Same contract and
   /// bit-identity guarantee as the ShortestPathTree overload (which now
   /// wraps this one).
-  RepairStats repair(TreeRow tree, std::span<const EdgeCostDelta> deltas,
-                     std::vector<NodeId>* touched_out = nullptr);
+  RepairStats repair(TreeRow tree, std::span<const EdgeCostDelta> deltas);
 
   /// Multi-source Dijkstra (Mehlhorn's Voronoi partition).  Duplicate
   /// sources are tolerated; equal-distance ties deterministically assign

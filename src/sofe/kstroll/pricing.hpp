@@ -1,5 +1,5 @@
 #pragma once
-// Incremental Procedure-1 instance assembly for repair-aware pricing
+// Shared-block Procedure-1 instance assembly for k-stroll pricing
 // (DESIGN.md §9).
 //
 // SOFDA prices every (source, last VM) pair on a Procedure-1 metric
@@ -18,7 +18,7 @@
 // online arrival stream that construction dominates SOFDA's wall clock;
 // the classes here assemble instances that read bitwise the same
 // (tested) from a session-cached block: SharedVmBlock is rebuilt only when
-// a VM's setup cost or a closure row changed at a VM, InstanceAssembler
+// the session's price key moves, InstanceAssembler
 // points the VM rows straight at it (no per-source copy) and rewrites only
 // the contiguous source row per last VM.  core::PricingSession drives
 // both across arrivals.

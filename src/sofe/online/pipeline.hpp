@@ -6,8 +6,8 @@
 // immutable epoch snapshot (graph prices + published read-only metric
 // closure + ledger state frozen at epoch open), and a single commit stage
 // serializes ledger writes in arrival order — folding each epoch's price
-// movements into ONE EdgeCostDelta batch that drives closure repair and
-// pricing-cache invalidation per epoch instead of per arrival.
+// movements into ONE EdgeCostDelta batch that drives closure repair per
+// epoch instead of per arrival.
 //
 // Determinism contract: for every (topology, OnlineConfig) the cost series
 // is bitwise identical to the sequential driver `online::simulate` at the

@@ -8,10 +8,10 @@
 // repair machinery treats infinite arcs as removed without any structural
 // mutation), a heal restores the ledger-derived price.  Because the whole
 // drill is "just another cost-delta batch", every downstream layer — the
-// session closure repair (§8), the pricing-cache invalidation (§9), the
-// pipeline's per-epoch replica sync (§10) and the sharded-closure row
-// re-exchange (§11) — recovers incrementally instead of rebuilding, and the
-// drill is deterministic at every thread and worker count.
+// session closure repair (§8), the pipeline's per-epoch replica sync (§10)
+// and the sharded-closure row re-exchange (§11) — recovers incrementally
+// instead of rebuilding, and the drill is deterministic at every thread
+// and worker count.
 //
 // The companion RecoveryEngine (recovery.hpp) re-embeds the service forests
 // a failure breaks; this header holds only the plan/report value types so

@@ -429,9 +429,9 @@ TEST(ParallelPricing, BitIdenticalForThreads128OnInet) {
 }
 
 TEST(PricingCache, SessionTracksFreeFunctionAcrossArrivalStyleMutations) {
-  // The SOFDA session's PricedChain cache (DESIGN.md §9) rides the closure
-  // session's change stream: cost deltas, source churn, setup-cost moves.
-  // Every solve must stay bitwise equal to the free function.
+  // The SOFDA session's PricedChain cache (DESIGN.md §9) is keyed on
+  // prices: cost deltas, source churn, setup-cost moves.  Every solve must
+  // stay bitwise equal to the free function.
   const auto topo = topology::softlayer();
   topology::ProblemConfig cfg;
   cfg.seed = 19;
@@ -447,20 +447,25 @@ TEST(PricingCache, SessionTracksFreeFunctionAcrossArrivalStyleMutations) {
   EXPECT_EQ(solver->report().pricing_repriced, 0);
   EXPECT_GT(solver->report().pricing_hits, 0);
 
-  // A handful of link repricings: the closure repairs; chains whose rows
-  // were touched re-price, and the result still matches exactly.
+  // A handful of link repricings: the closure repairs, the price key
+  // moves and every chain re-prices — and the result still matches exactly.
   for (core::EdgeId e : {3, 11, 19}) {
     p.network.set_edge_cost(e, p.network.edge(e).cost * 1.25 + 0.5);
   }
   EXPECT_TRUE(forests_equal(solver->solve(p), core::sofda(p)));
   EXPECT_TRUE(solver->report().closure_repaired);
+  EXPECT_TRUE(solver->report().pricing_flushed);
 
-  // Source churn (drop one, later re-add): buckets flush only as needed.
+  // Source churn (drop one, later re-add) at unchanged prices: nothing
+  // flushes, every kept chain is served from cache.
   auto sources = p.sources;
   p.sources.pop_back();
   EXPECT_TRUE(forests_equal(solver->solve(p), core::sofda(p)));
+  EXPECT_FALSE(solver->report().pricing_flushed);
+  EXPECT_EQ(solver->report().pricing_repriced, 0);
   p.sources = sources;
   EXPECT_TRUE(forests_equal(solver->solve(p), core::sofda(p)));
+  EXPECT_FALSE(solver->report().pricing_flushed);
 
   // A VM setup-cost move (|C| >= 2): the shared terms shift, all chains
   // re-price — and still match.
@@ -470,25 +475,53 @@ TEST(PricingCache, SessionTracksFreeFunctionAcrossArrivalStyleMutations) {
   EXPECT_TRUE(solver->report().pricing_flushed);
 }
 
-TEST(PricingCache, KnobOffRestoresFromScratchPricing) {
-  const auto p = quickstart_instance();
-  SolverOptions off;
-  off.incremental_pricing = false;
-  auto solver = make_solver("sofda", off);
-  EXPECT_TRUE(forests_equal(solver->solve(p), core::sofda(p)));
-  EXPECT_EQ(solver->report().pricing_hits, 0);
-  EXPECT_EQ(solver->report().pricing_repriced, 0);  // tallies come from the cache only
-  (void)solver->solve(p);
-  EXPECT_EQ(solver->report().pricing_hits, 0);  // never served from a cache
+TEST(PricingCache, MixedSolveAndSolveEpochStayBitwiseCold) {
+  // One "sofda" session alternates between its own closure (solve) and
+  // published epochs (solve_epoch).  The pricing cache is shared by both:
+  // at unchanged prices a mode switch serves every chain from cache, any
+  // price move flushes — and every forest stays bitwise the cold one.
+  const auto topo = topology::softlayer();
+  topology::ProblemConfig cfg;
+  cfg.seed = 23;
+  auto p = topology::make_problem(topo, cfg);
+  auto solver = make_solver("sofda");
+  api::ClosureSession publisher;
+  const auto solve_epoch = [&](const Problem& q) {
+    publisher.retire();
+    std::vector<NodeId> hubs = q.vms();
+    hubs.insert(hubs.end(), q.sources.begin(), q.sources.end());
+    api::SolveReport unused;
+    return solver->solve_epoch(q, publisher.publish(q.network, hubs, {}, unused));
+  };
 
-  // Flipping the knob mid-session starts cold (no stale serves), then
-  // behaves like a fresh incremental session.
-  solver->options().incremental_pricing = true;
   EXPECT_TRUE(forests_equal(solver->solve(p), core::sofda(p)));
-  EXPECT_GT(solver->report().pricing_repriced, 0);
-  EXPECT_TRUE(forests_equal(solver->solve(p), core::sofda(p)));
+  EXPECT_TRUE(solver->report().pricing_flushed);
+
+  // Same prices, epoch closure: every chain hits across the mode switch.
+  EXPECT_TRUE(forests_equal(solve_epoch(p), core::sofda(p)));
+  EXPECT_FALSE(solver->report().pricing_flushed);
   EXPECT_EQ(solver->report().pricing_repriced, 0);
   EXPECT_GT(solver->report().pricing_hits, 0);
+
+  // A link price moves under the epoch: flush, then the session's own
+  // (repaired) closure at the same prices hits again.
+  p.network.set_edge_cost(5, p.network.edge(5).cost * 1.5 + 1.0);
+  EXPECT_TRUE(forests_equal(solve_epoch(p), core::sofda(p)));
+  EXPECT_TRUE(solver->report().pricing_flushed);
+  EXPECT_TRUE(forests_equal(solver->solve(p), core::sofda(p)));
+  EXPECT_TRUE(solver->report().closure_repaired);
+  EXPECT_EQ(solver->report().pricing_repriced, 0);
+
+  // Fewer sources on the epoch side still hit; a VM setup move flushes.
+  p.sources.pop_back();
+  EXPECT_TRUE(forests_equal(solve_epoch(p), core::sofda(p)));
+  EXPECT_EQ(solver->report().pricing_repriced, 0);
+  p.node_cost[static_cast<std::size_t>(p.vms().front())] += 0.5;
+  EXPECT_TRUE(forests_equal(solver->solve(p), core::sofda(p)));
+  EXPECT_TRUE(solver->report().pricing_flushed);
+  EXPECT_TRUE(forests_equal(solve_epoch(p), core::sofda(p)));
+  EXPECT_EQ(solver->report().pricing_repriced, 0);
+  publisher.retire();
 }
 
 TEST(PricingCache, AccumulatorAggregatesPricingTallies) {

@@ -1,7 +1,6 @@
 // Epoch-pipelined admission service tests (DESIGN.md §10): worker-count
 // determinism against the sequential driver, the stale-price repricing
-// rule under mid-epoch departures, OnlineConfig validation, and the
-// price_epoch generation dedup.
+// rule under mid-epoch departures and OnlineConfig validation.
 
 #include <gtest/gtest.h>
 
@@ -9,9 +8,7 @@
 
 #include "sofe/api/registry.hpp"
 #include "sofe/api/report.hpp"
-#include "sofe/core/pricing.hpp"
 #include "sofe/core/sofda.hpp"
-#include "sofe/graph/metric_closure.hpp"
 #include "sofe/online/pipeline.hpp"
 #include "sofe/online/stream.hpp"
 
@@ -242,49 +239,6 @@ TEST(PipelineValidation, RejectsDegenerateConfigs) {
 
 TEST(PipelineValidation, AcceptsTheDefaults) {
   EXPECT_NO_THROW(validate(OnlineConfig{}));
-}
-
-// price_epoch's generation dedup, in isolation: a repeated generation must
-// serve everything from cache (the update was already applied), and a
-// generation gap must flush (this session missed an epoch's deltas).
-TEST(PricingEpochMode, GenerationDedupAndGapFlush) {
-  const auto topo = topology::softlayer();
-  ArrivalStream stream(topo, pipeline_config());
-  (void)stream.open_epoch(0);
-  core::Problem p = stream.stage(0);  // a private copy to price against
-
-  graph::MetricClosure closure;
-  std::vector<core::NodeId> hubs = p.vms();
-  hubs.insert(hubs.end(), p.sources.begin(), p.sources.end());
-  closure.build(p.network, hubs);
-
-  core::PricingSession session;
-  core::PricingTally tally;
-  const core::AlgoOptions opt;
-  const auto first = session.price_epoch(p, closure, p.sources, 1,
-                                         core::ClosureUpdate::rebuilt(), opt, 1, &tally);
-  ASSERT_FALSE(first.empty());
-  EXPECT_GT(tally.repriced, 0);
-
-  // Same generation again: the "update" argument must be ignored — the
-  // session already observed this epoch — so everything hits.
-  const auto repeat = session.price_epoch(p, closure, p.sources, 1,
-                                          core::ClosureUpdate::rebuilt(), opt, 1, &tally);
-  EXPECT_EQ(repeat.size(), first.size());
-  EXPECT_EQ(tally.repriced, 0);
-  EXPECT_GT(tally.hits, 0);
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].source, repeat[i].source);
-    EXPECT_EQ(first[i].last_vm, repeat[i].last_vm);
-    EXPECT_EQ(first[i].plan.cost, repeat[i].plan.cost);  // bitwise
-  }
-
-  // Jumping to generation 5 skips epochs 2..4: the session cannot know
-  // what it missed, so it must flush and re-price.
-  (void)session.price_epoch(p, closure, p.sources, 5, core::ClosureUpdate::unchanged(), opt, 1,
-                            &tally);
-  EXPECT_TRUE(tally.flushed);
-  EXPECT_GT(tally.repriced, 0);
 }
 
 // The sequential epoch driver itself: persistent vs copy-per-arrival

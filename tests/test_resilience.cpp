@@ -279,11 +279,7 @@ TEST(ResilienceDrill, UnboundedBudgetMatchesFromScratchQuality) {
 
   auto ref_cfg = cfg;
   ref_cfg.copy_problems = true;
-  api::SolverOptions cold_opt;
-  cold_opt.incremental = false;
-  cold_opt.incremental_pricing = false;
-  auto cold = api::make_solver("sofda", cold_opt);
-  const auto reference = simulate(topo, ref_cfg, *cold);
+  const auto reference = simulate(topo, ref_cfg, "sofda", sofda_fn());
   expect_series_identical(incremental, reference);
   expect_recoveries_identical(incremental, reference);
 }
