@@ -28,8 +28,9 @@
 // arrival panel (sources drawn from a fixed Zipf-ish pool —
 // OnlineConfig::source_pool/source_alpha) held to the same bitwise verdict
 // as every other panel, plus its pipeline worker sweep.  Sweep points also
-// record the commit thread's epoch-publish wall time and the publisher
-// session's peak closure slab footprint.
+// record the commit thread's epoch-publish wall time, how the publisher
+// session's per-epoch closure acquires went (hits / repairs / rebuilds)
+// and its peak closure slab footprint.
 //
 // Flags:
 //   --smoke      tiny instance (CI: exercises the incremental path in
@@ -37,8 +38,8 @@
 //                never mistake the reduced panel set for a full run
 //   --recurring  recurring-source panels only (with --smoke: the
 //                bench_online_recurring_smoke ctest entry — drives the
-//                copy-on-write publish path under TSan without writing
-//                BENCH_online.json next to the main smoke entry)
+//                publish path under TSan while source hubs churn, without
+//                writing BENCH_online.json next to the main smoke entry)
 //   --json       additionally write the measurements to BENCH_online.json
 
 #include <cstring>
@@ -82,8 +83,9 @@ struct SweepPoint {
   int workers = 1;
   double seconds = 0.0;             // pipeline wall time for the whole stream
   double arrivals_per_second = 0.0;
-  int stale_repriced = 0;           // speculative results discarded + re-solved
-  int speculative_commits = 0;      // speculative results that survived validation
+  int publish_hits = 0;             // publisher closure acquires: reused as-is
+  int publish_repairs = 0;          //   repaired in place
+  int publish_rebuilds = 0;         //   rebuilt
   double publish_seconds = 0.0;     // commit-thread wall spent publishing epochs
   std::size_t peak_closure_bytes = 0;  // publisher session, over all publishes
   bool identical = true;            // series bitwise == sequential epoch driver
@@ -217,8 +219,8 @@ WorkerSweep run_worker_sweep(const char* title, const sofe::topology::Topology& 
   const auto reference = simulate(topo, cfg, *solver);
   sweep.sequential_seconds = watch.seconds();
 
-  sofe::util::Table table({"workers", "wall_s", "arrivals/s", "speedup", "stale", "spec",
-                           "publish", "peak KB", "series"});
+  sofe::util::Table table({"workers", "wall_s", "arrivals/s", "speedup", "hits", "repairs",
+                           "rebuilds", "publish", "peak KB", "series"});
   for (int workers : worker_counts) {
     sofe::online::PipelineOptions popt;
     popt.workers = workers;
@@ -229,8 +231,9 @@ WorkerSweep run_worker_sweep(const char* title, const sofe::topology::Topology& 
     pt.seconds = watch.seconds();
     pt.arrivals_per_second =
         pt.seconds > 0.0 ? static_cast<double>(cfg.requests) / pt.seconds : 0.0;
-    pt.stale_repriced = got.stale_repriced;
-    pt.speculative_commits = got.speculative_commits;
+    pt.publish_hits = got.publish_hits;
+    pt.publish_repairs = got.publish_repairs;
+    pt.publish_rebuilds = got.publish_rebuilds;
     pt.publish_seconds = got.publish_seconds;
     pt.peak_closure_bytes = got.peak_closure_bytes;
     pt.identical = series_identical(got, reference);
@@ -242,7 +245,8 @@ WorkerSweep run_worker_sweep(const char* title, const sofe::topology::Topology& 
                    sofe::util::Table::num(pt.arrivals_per_second, 1),
                    sofe::util::Table::num(
                        pt.seconds > 0.0 ? sweep.sequential_seconds / pt.seconds : 1.0, 2),
-                   std::to_string(pt.stale_repriced), std::to_string(pt.speculative_commits),
+                   std::to_string(pt.publish_hits), std::to_string(pt.publish_repairs),
+                   std::to_string(pt.publish_rebuilds),
                    sofe::util::Table::num(pt.publish_seconds * 1e3, 2) + "ms",
                    sofe::util::Table::num(
                        static_cast<double>(pt.peak_closure_bytes) / 1024.0, 1),
@@ -324,8 +328,9 @@ void write_json(const std::vector<PanelMeasurement>& panels,
           << ",\"arrivals_per_second\":" << pt.arrivals_per_second
           << ",\"speedup_vs_sequential\":"
           << (pt.seconds > 0.0 ? sweep.sequential_seconds / pt.seconds : 1.0)
-          << ",\"stale_repriced\":" << pt.stale_repriced
-          << ",\"speculative_commits\":" << pt.speculative_commits
+          << ",\"publish_outcome\":{\"hits\":" << pt.publish_hits
+          << ",\"repairs\":" << pt.publish_repairs << ",\"rebuilds\":" << pt.publish_rebuilds
+          << "}"
           << ",\"publish_seconds\":" << pt.publish_seconds
           << ",\"closure_rows\":{\"peak_bytes\":" << pt.peak_closure_bytes << "}"
           << ",\"bit_identical\":" << (pt.identical ? "true" : "false") << "}";
@@ -369,8 +374,9 @@ int main(int argc, char** argv) {
         smoke ? "SoftLayer, 10 arrivals, recurring sources (smoke)"
               : "(f) SoftLayer, 60 arrivals, recurring sources (steady state)",
         sofe::topology::softlayer(), cfg, smoke ? 2 : 10));
-    // The pipeline's epoch publisher over the same recurring stream: the
-    // copy-on-write publish path the TSan CI cell must see concurrent.
+    // The pipeline's epoch publisher over the same recurring stream: workers
+    // read the publisher's closure between the acquires that rewrite it,
+    // the handoff the TSan CI cell must see concurrent.
     sweeps.push_back(run_worker_sweep(
         smoke ? "SoftLayer recurring (smoke)" : "SoftLayer, 60 recurring arrivals",
         sofe::topology::softlayer(), cfg, /*epoch_size=*/4,

@@ -6,32 +6,26 @@
 //
 // Thread architecture: N worker threads plus the caller of run(), which
 // serves as both epoch publisher and commit stage.  One mutex guards all
-// shared state; workers claim queued slots, price them OUTSIDE the lock
-// against private Problem replicas (synced once per epoch from the
-// published EdgeCostDelta batch) and the shared read-only closure epoch,
-// and post results back.  The publisher mutates shared state (master
-// Problem, ledger, publisher closure) only while every worker is parked —
-// the `publishing` flag blocks new claims and the `active` counter drains
-// in-flight solves — so the snapshot workers read is immutable by
-// construction, not by convention.
+// shared state; workers claim the open epoch's slots, price them OUTSIDE
+// the lock against their private Problem replica and the publisher
+// session's read-only closure, and post results back.  The publisher
+// mutates shared state (master Problem, replicas, ledger, publisher
+// closure) only while every worker is parked — the `publishing` flag
+// blocks new claims and the `active` counter drains in-flight solves — so
+// what workers read is immutable by construction, not by convention.
 //
-// Determinism: slots commit in arrival order against the same epoch
-// snapshots the sequential driver uses, and every number that enters the
-// cost series is computed from (epoch snapshot, request) alone.  A
-// speculative result priced at an older generation is validated at the
-// next publish: if any price moved since, the slot is re-queued and
-// re-solved at current prices by the workers (in parallel — staleness
-// never serializes the pipeline); if nothing moved, the input was bitwise
-// identical, so by solver determinism the result is exactly what a fresh
-// solve would return.  Either way the committed value is
-// schedule-independent, which is the whole proof.
+// Determinism: an epoch's slots become claimable only after it opens, and
+// the next epoch opens only after every one of them committed, so each
+// slot is priced at the epoch that commits it — against the same snapshot
+// the sequential driver uses.  Every number that enters the cost series is
+// computed from (epoch snapshot, request) alone, and slots commit in
+// arrival order, so the committed value is schedule-independent.
 
 #include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -57,7 +51,6 @@ struct Pipeline::Impl {
     workers = popt.workers;
     if (workers <= 0) workers = static_cast<int>(std::thread::hardware_concurrency());
     workers = std::max(workers, 1);
-    lookahead = std::max(popt.lookahead_epochs, 0);
     if (stream.has_failures()) {
       // Recovery escalation gets its own session of the same family.  It
       // runs on the commit thread inside open_epoch — all workers parked —
@@ -74,7 +67,6 @@ struct Pipeline::Impl {
   std::string solver_name;
   api::SolverOptions opt;
   int workers = 1;
-  int lookahead = 1;
   api::ReportAccumulator* sink = nullptr;
   std::unique_ptr<api::Solver> recovery_solver;  // failure drills only
   bool ran = false;
@@ -83,117 +75,69 @@ struct Pipeline::Impl {
   std::mutex mu;
   std::condition_variable cv_work;  // workers: claimable slot / shutdown
   std::condition_variable cv_main;  // driver: result posted / worker parked
-  bool publishing = true;           // true until the first epoch publishes
+  bool publishing = true;           // claims blocked while the publisher works
   bool done = false;
   int active = 0;                    // workers inside a solve
-  std::uint64_t generation = 0;      // epochs published so far
   int next_slot = 0;                 // lowest never-claimed slot
   int dispatch_limit = 0;            // slots [0, dispatch_limit) are claimable
-  std::deque<int> requeued;          // stale slots awaiting a re-solve (sorted)
+  SteadyClock::time_point epoch_opened;  // every slot's queue wait starts here
   std::exception_ptr failure;        // first worker exception, rethrown by run()
 
-  // One entry per published epoch: payloads[g] is the snapshot advance
-  // from generation g to g + 1.  Workers fold the batches they missed
-  // into their replicas at claim time (under mu; O(moved links) per
-  // epoch), which is how "ONE EdgeCostDelta batch per epoch" reaches
-  // every worker replica.
-  struct Payload {
-    std::vector<graph::EdgeCostDelta> deltas;
-    std::vector<Cost> node_cost;  // full post-refresh vector (VM setups)
-    bool moved = false;           // any link or node cost changed
-  };
-  std::deque<Payload> payloads;
-
-  // The published closure epoch, copied by workers at claim time.  Only
-  // meaningful when use_epoch (the solver family prices against shared
-  // closures); rewritten by the publisher while quiesced.
-  api::ClosureEpoch epoch;
+  // Rewritten by the publisher while every worker is parked, read by the
+  // workers in between.  replicas[w] is worker w's Problem: the publisher
+  // applies each epoch's EdgeCostDelta batch and VM setup costs to every
+  // replica, so its prices are bitwise the epoch snapshot's.  `closure` is
+  // the publisher session's own closure (set only when use_epoch: the
+  // solver family prices against shared closures).
+  std::vector<Problem> replicas;
+  const graph::MetricClosure* closure = nullptr;
   bool use_epoch = false;
 
   struct Slot {
     bool ready = false;
-    std::uint64_t priced_generation = 0;
     ServiceForest forest;
     api::SolveReport report;
     double solve_seconds = 0.0;
     double queue_seconds = 0.0;
   };
   std::vector<Slot> slots;
-  std::vector<SteadyClock::time_point> eligible_at;  // when the slot became claimable
 
   // Publisher-side scratch (driver thread only).
   api::ClosureSession publisher;
+  std::vector<graph::EdgeCostDelta> deltas;
   std::vector<core::NodeId> union_hubs;
   std::vector<std::uint8_t> hub_mark;
 
-  // Diagnostics folded into OnlineResult (driver thread only).
-  int stale_repriced = 0;
-  int speculative_commits = 0;
-  std::size_t pub_peak_bytes = 0;     // publisher-session closure footprint
-
-  bool moved_since(std::uint64_t priced_gen) const {
-    for (std::uint64_t g = priced_gen; g < generation; ++g) {
-      if (payloads[static_cast<std::size_t>(g)].moved) return true;
-    }
-    return false;
-  }
-
-  void worker_main(Problem replica);
-  void publish_epoch(int first, int* count, int committed);
+  void worker_main(int w);
+  int publish_epoch(int first, OnlineResult& result);
   OnlineResult run();
 };
 
-void Pipeline::Impl::worker_main(Problem replica) {
-  // Worker-private solver session and Problem replica: the replica starts
-  // at the pre-stream master and advances one published delta batch per
-  // epoch, so its prices are bitwise the epoch snapshot's at the claimed
-  // generation.
+void Pipeline::Impl::worker_main(int w) {
+  // Worker-private solver session; the replica is this worker's alone
+  // between publishes.
   const auto solver = api::make_solver(solver_name, opt);
-  std::uint64_t synced = 0;
+  Problem& replica = replicas[static_cast<std::size_t>(w)];
 
   std::unique_lock lock(mu);
   for (;;) {
-    cv_work.wait(lock, [&] {
-      return done || (!publishing && (!requeued.empty() || next_slot < dispatch_limit));
-    });
+    cv_work.wait(lock, [&] { return done || (!publishing && next_slot < dispatch_limit); });
     if (done) return;
 
-    // Claim: stale re-solves first (the commit stage is blocked on them),
-    // then the lowest unclaimed slot — the arrival queue is FIFO.
-    int r = 0;
-    if (!requeued.empty()) {
-      r = requeued.front();
-      requeued.pop_front();
-    } else {
-      r = next_slot++;
-    }
-    const std::uint64_t gen = generation;
-    const api::ClosureEpoch epoch_copy = epoch;
+    // Claim the lowest unclaimed slot — the arrival queue is FIFO.
+    const int r = next_slot++;
     ++active;
-
-    // Replica sync under the lock (payloads grow only under mu): apply
-    // every delta batch published since this worker last priced.
-    while (synced < gen) {
-      const Payload& pl = payloads[static_cast<std::size_t>(synced)];
-      for (const graph::EdgeCostDelta& d : pl.deltas) {
-        replica.network.set_edge_cost(d.edge, d.new_cost);
-      }
-      replica.node_cost = pl.node_cost;
-      ++synced;
-    }
-    const Request& req = stream.request(r);
     const double queue_seconds =
-        std::chrono::duration<double>(SteadyClock::now() -
-                                      eligible_at[static_cast<std::size_t>(r)])
-            .count();
+        std::chrono::duration<double>(SteadyClock::now() - epoch_opened).count();
     lock.unlock();
 
+    const Request& req = stream.request(r);
     replica.sources = req.sources;
     replica.destinations = req.destinations;
     const util::Stopwatch watch;
     ServiceForest forest;
     try {
-      forest = use_epoch ? solver->solve_epoch(replica, epoch_copy) : solver->solve(replica);
+      forest = use_epoch ? solver->solve_epoch(replica, *closure) : solver->solve(replica);
     } catch (...) {
       lock.lock();
       if (!failure) failure = std::current_exception();
@@ -208,7 +152,6 @@ void Pipeline::Impl::worker_main(Problem replica) {
     lock.lock();
     Slot& s = slots[static_cast<std::size_t>(r)];
     s.ready = true;
-    s.priced_generation = gen;
     s.forest = std::move(forest);
     s.report = solver->report();
     s.solve_seconds = solve_seconds;
@@ -218,36 +161,28 @@ void Pipeline::Impl::worker_main(Problem replica) {
   }
 }
 
-void Pipeline::Impl::publish_epoch(int first, int* count, int committed) {
-  const int total = stream.requests();
-  const int S = stream.epoch_size();
-
+int Pipeline::Impl::publish_epoch(int first, OnlineResult& result) {
   std::unique_lock lock(mu);
   publishing = true;  // block new claims...
   cv_main.wait(lock, [&] { return active == 0; });  // ...and drain in-flight ones
 
   // Every worker is parked: shared state is ours to mutate.
-  if (use_epoch) publisher.retire();
-
-  Payload pl;
-  bool node_moved = false;
-  *count = stream.open_epoch(first, &pl.deltas, &node_moved);
-  pl.node_cost = stream.master().node_cost;
-  pl.moved = !pl.deltas.empty() || node_moved;
-  payloads.push_back(std::move(pl));
-  ++generation;
-
-  const int window_end = std::min(total, first + (1 + lookahead) * S);
+  const int count = stream.open_epoch(first, &deltas);
+  for (Problem& replica : replicas) {
+    for (const graph::EdgeCostDelta& d : deltas) {
+      replica.network.set_edge_cost(d.edge, d.new_cost);
+    }
+    replica.node_cost = stream.master().node_cost;
+  }
 
   if (use_epoch) {
-    // Union hubs over the whole claimable window: the VMs plus every
-    // source any worker may price before the next publish — current epoch
-    // and speculative lookahead alike.  Extras are invisible to queries
-    // (§8 union semantics), so covering generously never changes results.
+    // Union hubs over the epoch: the VMs plus every source of its slots.
+    // Extras are invisible to queries (§8 union semantics), so covering
+    // the whole epoch never changes a result.
     union_hubs = stream.master().vms();
     hub_mark.assign(static_cast<std::size_t>(stream.master().network.node_count()), 0);
     for (core::NodeId vm : union_hubs) hub_mark[static_cast<std::size_t>(vm)] = 1;
-    for (int r = first; r < window_end; ++r) {
+    for (int r = first; r < first + count; ++r) {
       for (core::NodeId s : stream.request(r).sources) {
         if (!hub_mark[static_cast<std::size_t>(s)]) {
           hub_mark[static_cast<std::size_t>(s)] = 1;
@@ -262,36 +197,25 @@ void Pipeline::Impl::publish_epoch(int first, int* count, int committed) {
     // repaired per epoch, and the re-homing fallback queries
     // hub-to-destination rows for arbitrary queued requests.
     req.bounded = false;
-    api::SolveReport publish_report;
-    epoch = publisher.publish(stream.master().network, union_hubs, req, publish_report);
-    pub_peak_bytes = std::max(pub_peak_bytes, publish_report.closure_bytes);
-  }
-
-  // Stale-price rule (§10): every posted speculative result is validated
-  // now, against the batches published since it was priced.  Nothing
-  // moved -> its inputs were bitwise the fresh ones, keep it (it will
-  // count as a speculative commit).  Something moved -> discard and
-  // re-queue; workers re-solve the slot at the new generation, in
-  // parallel with the rest of the epoch.
-  for (int r = committed; r < dispatch_limit; ++r) {
-    Slot& s = slots[static_cast<std::size_t>(r)];
-    if (s.ready && s.priced_generation < generation && moved_since(s.priced_generation)) {
-      s.ready = false;
-      s.forest = ServiceForest{};
-      requeued.push_back(r);
-      ++stale_repriced;
+    api::SolveReport report;
+    closure = &publisher.acquire(stream.master().network, union_hubs, req, report);
+    if (report.closure_cache_hit) {
+      ++result.publish_hits;
+    } else if (report.closure_repaired) {
+      ++result.publish_repairs;
+    } else {
+      ++result.publish_rebuilds;
     }
+    result.peak_closure_bytes = std::max(result.peak_closure_bytes, report.closure_bytes);
   }
 
-  // Extend the claimable window and wake the floor.
-  const auto now = SteadyClock::now();
-  for (int r = dispatch_limit; r < window_end; ++r) {
-    eligible_at[static_cast<std::size_t>(r)] = now;
-  }
-  dispatch_limit = window_end;
+  // Open the epoch's slots to the workers.
+  epoch_opened = SteadyClock::now();
+  dispatch_limit = first + count;
   publishing = false;
   lock.unlock();
   cv_work.notify_all();
+  return count;
 }
 
 OnlineResult Pipeline::Impl::run() {
@@ -300,7 +224,6 @@ OnlineResult Pipeline::Impl::run() {
 
   const int total = stream.requests();
   slots.resize(static_cast<std::size_t>(total));
-  eligible_at.resize(static_cast<std::size_t>(total));
 
   // Probe the registry once for the family's name and closure appetite;
   // workers build their own sessions.
@@ -314,20 +237,19 @@ OnlineResult Pipeline::Impl::run() {
   result.epoch_size = stream.epoch_size();
   result.arrival_seconds.assign(static_cast<std::size_t>(total), 0.0);
 
+  // Replicas are copied before the first epoch opens, so no worker can
+  // observe a half-refreshed master.
+  replicas.assign(static_cast<std::size_t>(workers), stream.master());
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    // Replicas are copied before the first epoch opens, so no worker can
-    // observe a half-refreshed master.
-    pool.emplace_back(&Impl::worker_main, this, stream.master());
-  }
+  for (int w = 0; w < workers; ++w) pool.emplace_back(&Impl::worker_main, this, w);
 
   Cost accumulated = 0.0;
   for (int first = 0; first < total && !failure;) {
     int count = 0;
     {
       const util::Stopwatch publish_watch;
-      publish_epoch(first, &count, first);
+      count = publish_epoch(first, result);
       result.publish_seconds += publish_watch.seconds();
     }
 
@@ -351,9 +273,6 @@ OnlineResult Pipeline::Impl::run() {
         if (failure) break;
         s = std::move(slots[static_cast<std::size_t>(r)]);
       }
-      // The slot survived every stale scan since it was priced, so its
-      // result is bitwise what a fresh solve at this generation returns.
-      if (s.priced_generation < generation) ++speculative_commits;
       forests.push_back(std::move(s.forest));
       epoch_slots.push_back(std::move(s));
     }
@@ -391,13 +310,9 @@ OnlineResult Pipeline::Impl::run() {
   }
   cv_work.notify_all();
   for (std::thread& th : pool) th.join();
-  if (use_epoch) publisher.retire();
   if (failure) std::rethrow_exception(failure);
 
   stream.finish(result);
-  result.stale_repriced = stale_repriced;
-  result.speculative_commits = speculative_commits;
-  result.peak_closure_bytes = pub_peak_bytes;
   return result;
 }
 

@@ -51,20 +51,19 @@ class SofdaSolver final : public Solver {
     return price_and_solve(p, session_.acquire(p.network, hubs, req, r), r);
   }
 
-  ServiceForest do_solve_epoch(const Problem& p, const ClosureEpoch& epoch,
+  ServiceForest do_solve_epoch(const Problem& p, const graph::MetricClosure& closure,
                                SolveReport& r) override {
     if (p.destinations.empty()) return {};
     if (p.chain_length == 0) {
-      // Pure multicast: the closure epoch is irrelevant.
+      // Pure multicast: the epoch closure is irrelevant.
       return core::sofda(p, opt_.algo(), &r.sofda);
     }
-    // The published closure replaces the session's own: it covers the
-    // union of every hub any worker of the epoch window needs (the
-    // publisher guarantees this), and union extras are invisible to
-    // queries — so candidates and forests are bit-identical to do_solve
-    // on the same problem.
-    const graph::MetricClosure& closure = *epoch.closure;
-    assert(closure.is_hub(p.sources.front()) && "publisher must cover the epoch window's hubs");
+    // The epoch closure replaces the session's own: it covers the union
+    // of every hub any arrival of the epoch needs (the publisher
+    // guarantees this), and union extras are invisible to queries — so
+    // candidates and forests are bit-identical to do_solve on the same
+    // problem.
+    assert(closure.is_hub(p.sources.front()) && "publisher must cover the epoch's hubs");
     r.closure_hubs = static_cast<int>(closure.hub_count());
     return price_and_solve(p, closure, r);
   }

@@ -226,20 +226,6 @@ const dist::ShardedClosure& ClosureSession::acquire_sharded(
   return *sharded_;
 }
 
-ClosureEpoch ClosureSession::publish(const graph::Graph& g, const std::vector<NodeId>& hubs,
-                                     const ClosureRequest& req, SolveReport& report) {
-  // The snapshot shares row slabs with the live closure copy-on-write
-  // (DESIGN.md §13), so publishing costs O(rows) reference copies — not a
-  // deep copy of O(rows · V) trees.
-  // Publishing over an un-retired epoch replaces it (the old handle's
-  // rows are released first); retire() between publishes keeps the
-  // intervening repair writing in place instead of relocating.
-  (void)acquire(g, hubs, req, report);
-  closure_.snapshot_to(epoch_closure_);
-  published_ = true;
-  return ClosureEpoch{&epoch_closure_};
-}
-
 ServiceForest Solver::solve(const Problem& p) {
   assert(p.well_formed());
   report_ = SolveReport{};
@@ -253,14 +239,12 @@ ServiceForest Solver::solve(const Problem& p) {
   return f;
 }
 
-ServiceForest Solver::solve_epoch(const Problem& p, const ClosureEpoch& epoch) {
+ServiceForest Solver::solve_epoch(const Problem& p, const graph::MetricClosure& closure) {
   assert(p.well_formed());
-  assert((!wants_epoch_closure() || epoch.closure != nullptr) &&
-         "this solver prices against the published closure");
   report_ = SolveReport{};
   report_.solver = std::string(name());
   const util::Stopwatch watch;
-  ServiceForest f = do_solve_epoch(p, epoch, report_);
+  ServiceForest f = do_solve_epoch(p, closure, report_);
   report_.total_seconds = watch.seconds();
   report_.feasible = !f.empty();
   report_.total_cost = report_.feasible ? core::total_cost(p, f) : 0.0;

@@ -146,15 +146,6 @@ struct ClosureRequest {
   std::span<const NodeId> settle_targets;
 };
 
-/// A published read-only closure epoch (DESIGN.md §10): the immutable
-/// snapshot handle the admission pipeline's worker sessions price against.
-/// Produced by ClosureSession::publish, consumed by Solver::solve_epoch.
-/// The closure pointer stays valid — and safe for any number of concurrent
-/// readers — until the publishing session's retire().
-struct ClosureEpoch {
-  const graph::MetricClosure* closure = nullptr;
-};
-
 /// Session-scoped MetricClosure cache shared by the concrete solvers.
 ///
 /// `acquire` returns a closure holding Dijkstra trees for `hubs` over `g`,
@@ -212,34 +203,10 @@ class ClosureSession {
                                               const ClosureRequest& req, dist::MessageBus& bus,
                                               SolveReport& report);
 
-  /// Drops the cached closure (the next acquire rebuilds).  A published
-  /// epoch is unaffected: it holds its own row references.
+  /// Drops the cached closure (the next acquire rebuilds).
   void invalidate() {
     valid_ = false;
     sharded_valid_ = false;
-  }
-
-  /// Publishes the session closure as a read-only epoch (DESIGN.md §10):
-  /// acquires exactly as acquire() would — hit, repair or rebuild — then
-  /// snapshots the result by sharing row slabs copy-on-write
-  /// (MetricClosure::snapshot_to, §13): O(rows) reference copies and slab
-  /// pins, never a deep copy.  The handle N pipeline workers may query
-  /// concurrently stays bitwise frozen even while the live session keeps
-  /// acquiring — a repair relocates any row an epoch still pins before
-  /// writing it — so publish/acquire no longer exclude each other; the
-  /// caller must merely not mutate `g` while a reader is mid-query.
-  ClosureEpoch publish(const graph::Graph& g, const std::vector<NodeId>& hubs,
-                       const ClosureRequest& req, SolveReport& report);
-
-  /// Ends the published epoch's sharing phase: drops the snapshot's row
-  /// references and unpins its slabs (the caller guarantees no reader
-  /// still dereferences the handle).  The cached closure itself is
-  /// retained, so the next publish() repairs instead of rebuilding — and
-  /// retiring BEFORE the next publish keeps that repair in place rather
-  /// than copy-on-write.
-  void retire() noexcept {
-    epoch_closure_.release_rows();
-    published_ = false;
   }
 
   /// The session's single-thread build engine (exposed so solvers can run
@@ -248,13 +215,11 @@ class ClosureSession {
 
  private:
   graph::MetricClosure closure_;
-  graph::MetricClosure epoch_closure_;  // the published snapshot's row refs
   graph::ShortestPathEngine engine_;
   std::unique_ptr<dist::ShardedClosure> sharded_;  // sharded-mode cache (lazy)
   bool valid_ = false;
   bool sharded_valid_ = false;
   int sharded_k_ = 0;               // controller count the sharded cache was built for
-  bool published_ = false;          // epoch handle outstanding (publish/retire)
   NodeId key_nodes_ = 0;
   std::vector<graph::Edge> key_edges_;
   std::vector<NodeId> key_hubs_;     // exact-sequence key (non-incremental/bounded)
@@ -287,18 +252,23 @@ class Solver {
   /// solve().
   ServiceForest solve(const Problem& p);
 
-  /// Embeds one instance against a published closure epoch (DESIGN.md
-  /// §10): instead of maintaining its own ClosureSession, the solver
-  /// prices against `epoch.closure` — shared, read-only, covering every
-  /// hub the instance needs.
-  /// Results are bit-identical to solve() on the same problem (the epoch
-  /// is a cache, never an input).  Solvers that don't consume shared
-  /// closures (wants_epoch_closure() == false) fall back to solve()
-  /// semantics; callers may then skip publishing entirely.
-  ServiceForest solve_epoch(const Problem& p, const ClosureEpoch& epoch);
+  /// Embeds one instance against an epoch closure (DESIGN.md §10):
+  /// instead of maintaining its own ClosureSession, the solver prices
+  /// against `closure` — shared, read-only, covering every hub the
+  /// instance needs.  Results are bit-identical to solve() on the same
+  /// problem (the closure is a cache, never an input).  Solvers that don't
+  /// consume shared closures (wants_epoch_closure() == false) fall back to
+  /// solve() semantics; callers may then skip the epoch acquire entirely.
+  ///
+  /// `closure` is typically another session's acquire() result, which the
+  /// owning ClosureSession rewrites in place on its next acquire.  Contract:
+  /// nobody acquires on the owning session while any reader holds the
+  /// reference.  The pipeline's quiesce handshake enforces it: the
+  /// publisher acquires only while every worker is parked.
+  ServiceForest solve_epoch(const Problem& p, const graph::MetricClosure& closure);
 
-  /// Whether solve_epoch actually reads the published closure.  The
-  /// pipeline skips the per-epoch publish when no worker would use it.
+  /// Whether solve_epoch actually reads the epoch closure.  The pipeline
+  /// skips the per-epoch closure acquire when no worker would use it.
   virtual bool wants_epoch_closure() const noexcept { return false; }
 
   const SolveReport& report() const noexcept { return report_; }
@@ -319,13 +289,13 @@ class Solver {
   /// feasible/total_cost/total_seconds are filled by the wrapper.
   virtual ServiceForest do_solve(const Problem& p, SolveReport& report) = 0;
 
-  /// The epoch-mode body.  The default ignores the epoch and runs
-  /// do_solve — correct for every solver (epochs are caches), merely
+  /// The epoch-mode body.  The default ignores the closure and runs
+  /// do_solve — correct for every solver (the closure is a cache), merely
   /// missing the sharing; SofdaSolver overrides it to price against the
-  /// published closure.
-  virtual ServiceForest do_solve_epoch(const Problem& p, const ClosureEpoch& epoch,
+  /// epoch closure.
+  virtual ServiceForest do_solve_epoch(const Problem& p, const graph::MetricClosure& closure,
                                        SolveReport& report) {
-    (void)epoch;
+    (void)closure;
     return do_solve(p, report);
   }
 

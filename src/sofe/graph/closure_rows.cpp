@@ -16,16 +16,13 @@ void RowStore::reset(std::size_t node_count) {
 RowStore::DistRef RowStore::alloc_dist() {
   // Recycle newest-freed-first: the common retain/extend churn then reuses
   // the very rows it just dropped, keeping the hot set in the same slabs.
-  for (std::size_t i = free_dist_.size(); i-- > 0;) {
-    if (free_dist_[i].slab->pins == 0) {
-      DistRef ref = std::move(free_dist_[i]);
-      free_dist_.erase(free_dist_.begin() + static_cast<std::ptrdiff_t>(i));
-      return ref;
-    }
+  if (!free_dist_.empty()) {
+    DistRef ref = std::move(free_dist_.back());
+    free_dist_.pop_back();
+    return ref;
   }
   if (open_dist_ == nullptr || open_dist_used_ == kRowsPerSlab) {
-    open_dist_ = std::make_shared<DistSlab>();
-    open_dist_->data.resize(n_ * kRowsPerSlab);
+    open_dist_ = std::make_shared<DistSlab>(n_ * kRowsPerSlab);
     open_dist_used_ = 0;
   }
   DistRef ref{open_dist_, static_cast<std::uint32_t>(open_dist_used_ * n_)};
@@ -34,16 +31,13 @@ RowStore::DistRef RowStore::alloc_dist() {
 }
 
 RowStore::IdxRef RowStore::alloc_idx() {
-  for (std::size_t i = free_idx_.size(); i-- > 0;) {
-    if (free_idx_[i].slab->pins == 0) {
-      IdxRef ref = std::move(free_idx_[i]);
-      free_idx_.erase(free_idx_.begin() + static_cast<std::ptrdiff_t>(i));
-      return ref;
-    }
+  if (!free_idx_.empty()) {
+    IdxRef ref = std::move(free_idx_.back());
+    free_idx_.pop_back();
+    return ref;
   }
   if (open_idx_ == nullptr || open_idx_used_ == kRowsPerSlab) {
-    open_idx_ = std::make_shared<IdxSlab>();
-    open_idx_->data.resize(2 * n_ * kRowsPerSlab);
+    open_idx_ = std::make_shared<IdxSlab>(2 * n_ * kRowsPerSlab);
     open_idx_used_ = 0;
   }
   IdxRef ref{open_idx_, static_cast<std::uint32_t>(open_idx_used_ * 2 * n_)};
@@ -61,11 +55,11 @@ void RowStore::release(IdxRef ref) {
 
 void RowStore::account(std::unordered_set<const void*>& seen, std::size_t& bytes) const {
   const auto add_dist = [&](const std::shared_ptr<DistSlab>& s) {
-    if (s != nullptr && seen.insert(s.get()).second) bytes += s->data.capacity() * sizeof(Cost);
+    if (s != nullptr && seen.insert(s.get()).second) bytes += s->capacity() * sizeof(Cost);
   };
   const auto add_idx = [&](const std::shared_ptr<IdxSlab>& s) {
     if (s != nullptr && seen.insert(s.get()).second) {
-      bytes += s->data.capacity() * sizeof(std::int32_t);
+      bytes += s->capacity() * sizeof(std::int32_t);
     }
   };
   add_dist(open_dist_);

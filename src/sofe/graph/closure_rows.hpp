@@ -14,17 +14,16 @@
 //     bit for bit (0 + d == d), so tap hubs share the host's dist slab row
 //     and pay only for their 2n-int32 idx row — the dominant share of a
 //     SOFDA hub set (vms_per_dc taps per DC) at roughly half the bytes;
-//   * published closure epochs (api::ClosureSession::publish) snapshot by
-//     copying row references and pinning their slabs, instead of deep
-//     copies.  The live closure copies a row out of a pinned slab before
-//     its next in-place write (copy-on-write), so an epoch's rows stay
-//     bitwise frozen while the live side keeps repairing.
+//   * aliased rows relocate through the same free lists: when a tap
+//     group's representative changes, or a demoted tap must stop sharing
+//     its old host's dist row, refresh() copies the row into a recycled
+//     (or freshly carved) slab row and repairs the copy, leaving the
+//     original to the rows still aliasing it.
 //
-// Threading contract: allocation, release, pinning and copy-on-write all
-// happen in single-threaded planning phases (MetricClosure's serial
-// sections, the session's publish/retire).  Parallel build/refresh workers
-// only write through row pointers handed out by the plan — slabs are
-// allocated at full capacity up front, so those pointers are stable.
+// Threading contract: allocation, release and relocation all happen in
+// MetricClosure's single-threaded planning phases.  Parallel build/refresh
+// workers only write through row pointers handed out by the plan — slabs
+// are allocated at full capacity up front, so those pointers are stable.
 
 #include <cstdint>
 #include <memory>
@@ -42,18 +41,9 @@ class RowStore {
   /// in a handful of allocations.
   static constexpr std::size_t kRowsPerSlab = 8;
 
-  template <typename T>
-  struct Slab {
-    std::vector<T> data;  // sized at creation; never reallocates
-    /// Published-epoch pin count (ClosureSession::publish snapshots).  A
-    /// pinned slab's existing rows are read-only for the live closure:
-    /// in-place writes relocate first (copy-on-write), and freed rows in
-    /// it are not recycled until every pin is released.  Mutated only on
-    /// the single-threaded publish/plan path.
-    int pins = 0;
-  };
-  using DistSlab = Slab<Cost>;
-  using IdxSlab = Slab<std::int32_t>;
+  /// Slabs are sized at creation and never reallocate.
+  using DistSlab = std::vector<Cost>;
+  using IdxSlab = std::vector<std::int32_t>;
 
   /// Reference to one dist row (node_count Cost entries).  `at` is the
   /// element offset inside the slab, so two refs alias exactly when their
@@ -61,7 +51,7 @@ class RowStore {
   struct DistRef {
     std::shared_ptr<DistSlab> slab;
     std::uint32_t at = 0;
-    Cost* get() const { return slab->data.data() + at; }
+    Cost* get() const { return slab->data() + at; }
     bool aliases(const DistRef& o) const { return slab == o.slab && at == o.at; }
     explicit operator bool() const { return slab != nullptr; }
   };
@@ -70,26 +60,25 @@ class RowStore {
   struct IdxRef {
     std::shared_ptr<IdxSlab> slab;
     std::uint32_t at = 0;
-    std::int32_t* get() const { return slab->data.data() + at; }
+    std::int32_t* get() const { return slab->data() + at; }
     explicit operator bool() const { return slab != nullptr; }
   };
 
   /// (Re)binds the store to a row width of `node_count` entries.  A width
-  /// change drops the open slabs and free lists — outstanding epoch
-  /// references keep their slabs alive through their own shared_ptrs.
+  /// change drops the open slabs and free lists (MetricClosure::build
+  /// releases every row first, so no live row is left in a dropped slab).
   void reset(std::size_t node_count);
 
   std::size_t node_count() const noexcept { return n_; }
 
-  /// Allocates a row, preferring a freed row whose slab holds no epoch
-  /// pins, else carving from the open slab.  Contents are unspecified
-  /// (every caller fully overwrites).
+  /// Allocates a row, preferring the newest freed row, else carving from
+  /// the open slab.  Contents are unspecified (every caller fully
+  /// overwrites).
   DistRef alloc_dist();
   IdxRef alloc_idx();
 
   /// Returns a row to the free list.  The caller guarantees no other live
-  /// closure row references it; epoch snapshots may still — the row is
-  /// simply not recycled until its slab's pins drop to zero.
+  /// closure row references it.
   void release(DistRef ref);
   void release(IdxRef ref);
 

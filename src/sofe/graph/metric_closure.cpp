@@ -82,7 +82,6 @@ void MetricClosure::refresh(const Graph& g, std::span<const EdgeCostDelta> delta
                             int num_threads, ShortestPathEngine* engine) {
   assert(!bounded_ && "truncated trees cannot be repaired; rebuild instead");
   if (deltas.empty() || rows_.empty()) return;
-  ++write_gen_;
 
   // Tap-aware repair plan, mirroring the build's derivation: a zero-cost
   // degree-1 tap shares every label with its host, so one repaired
@@ -147,16 +146,14 @@ void MetricClosure::refresh(const Graph& g, std::span<const EdgeCostDelta> delta
     }
   }
 
-  // --- Copy-on-write / writability plan (serial, before the parallel
-  // repairs touch anything).  Two reasons a row must be relocated before
-  // its in-place write: its slab is pinned by a published epoch snapshot
-  // (snapshot_to), or its dist row is aliased by a live row that is NOT
-  // re-derived from it this round (a demoted tap, or a group whose
-  // representative changed) — both that row's repair and ours need the
-  // shared pre-delta dist as their private starting state.  Derive
-  // targets never repair in place: they re-point their dist at the
-  // representative's row and take a fresh idx row when theirs is pinned
-  // (no copy — the derive pass fully overwrites it).  A dropped dist
+  // --- Writability plan (serial, before the parallel repairs touch
+  // anything).  A repaired row's dist must be relocated before its
+  // in-place write when it is aliased by a live row that is NOT re-derived
+  // from it this round (a demoted tap, or a group whose representative
+  // changed) — both that row's repair and ours need the shared pre-delta
+  // dist as their private starting state.  Derive targets never repair in
+  // place: they re-point their dist at the representative's row (their
+  // own idx row is fully overwritten by the derive pass).  A dropped dist
   // reference is recycled once no live row holds it.
   std::unordered_map<const Cost*, std::size_t> dist_refs;  // live alias counts
   for (const StoredRow& row : rows_) ++dist_refs[row.dist.get()];
@@ -171,15 +168,13 @@ void MetricClosure::refresh(const Graph& g, std::span<const EdgeCostDelta> delta
   }
   for (std::size_t s : repairs) {
     StoredRow& row = rows_[s];
-    bool copy_dist = row.dist.slab->pins > 0;
-    if (!copy_dist) {
-      const auto it = alias_slots.find(row.dist.get());
-      if (it != alias_slots.end()) {
-        for (std::size_t x : it->second) {
-          if (x != s && derive_from[x] != s) {
-            copy_dist = true;
-            break;
-          }
+    bool copy_dist = false;
+    const auto it = alias_slots.find(row.dist.get());
+    if (it != alias_slots.end()) {
+      for (std::size_t x : it->second) {
+        if (x != s && derive_from[x] != s) {
+          copy_dist = true;
+          break;
         }
       }
     }
@@ -191,13 +186,6 @@ void MetricClosure::refresh(const Graph& g, std::span<const EdgeCostDelta> delta
       ++dist_refs[row.dist.get()];
       drop_dist_ref(std::move(old));
     }
-    if (row.idx.slab->pins > 0) {
-      RowStore::IdxRef fresh = store_.alloc_idx();
-      std::memcpy(fresh.get(), row.idx.get(), 2 * n_ * sizeof(std::int32_t));
-      store_.release(std::move(row.idx));
-      row.idx = std::move(fresh);
-    }
-    row.gen = write_gen_;
   }
   for (const Job& j : derives) {
     StoredRow& dst = rows_[j.slot];
@@ -208,11 +196,6 @@ void MetricClosure::refresh(const Graph& g, std::span<const EdgeCostDelta> delta
       ++dist_refs[dst.dist.get()];
       drop_dist_ref(std::move(old));
     }
-    if (dst.idx.slab->pins > 0) {
-      store_.release(std::move(dst.idx));
-      dst.idx = store_.alloc_idx();
-    }
-    dst.gen = write_gen_;
   }
 
   const std::size_t workers = std::min<std::size_t>(
@@ -299,44 +282,15 @@ void MetricClosure::retain(const std::vector<NodeId>& hubs) {
   rows_ = std::move(kept);
 }
 
-void MetricClosure::snapshot_to(MetricClosure& out) const {
-  out.release_rows();
-  out.rows_ = rows_;
-  out.tree_index_ = tree_index_;
-  out.n_ = n_;
-  out.bounded_ = bounded_;
-  out.pinned_ = true;
-  // Pin each distinct slab once: the live side's refresh/retain/build
-  // relocate instead of writing pinned rows, so the snapshot stays frozen.
-  std::unordered_set<const void*> seen;
-  for (const StoredRow& r : out.rows_) {
-    if (r.dist.slab != nullptr && seen.insert(r.dist.slab.get()).second) ++r.dist.slab->pins;
-    if (r.idx.slab != nullptr && seen.insert(r.idx.slab.get()).second) ++r.idx.slab->pins;
-  }
-}
-
-void MetricClosure::release_rows() {
-  if (pinned_) {
-    std::unordered_set<const void*> seen;
-    for (const StoredRow& r : rows_) {
-      if (r.dist.slab != nullptr && seen.insert(r.dist.slab.get()).second) --r.dist.slab->pins;
-      if (r.idx.slab != nullptr && seen.insert(r.idx.slab.get()).second) --r.idx.slab->pins;
-    }
-    pinned_ = false;
-  }
-  rows_.clear();
-  tree_index_.clear();
-}
-
 std::size_t MetricClosure::memory_bytes() const {
   std::unordered_set<const void*> seen;
   std::size_t bytes = 0;
   for (const StoredRow& r : rows_) {
     if (r.dist.slab != nullptr && seen.insert(r.dist.slab.get()).second) {
-      bytes += r.dist.slab->data.capacity() * sizeof(Cost);
+      bytes += r.dist.slab->capacity() * sizeof(Cost);
     }
     if (r.idx.slab != nullptr && seen.insert(r.idx.slab.get()).second) {
-      bytes += r.idx.slab->data.capacity() * sizeof(std::int32_t);
+      bytes += r.idx.slab->capacity() * sizeof(std::int32_t);
     }
   }
   store_.account(seen, bytes);
@@ -345,15 +299,12 @@ std::size_t MetricClosure::memory_bytes() const {
 
 void MetricClosure::build_or_extend(const Graph& g, const std::vector<NodeId>& hubs,
                                     int num_threads, ShortestPathEngine* engine, bool rebuild) {
-  ++write_gen_;
   const auto n = static_cast<std::size_t>(g.node_count());
   if (rebuild) {
     // Recycle every row through the store's free lists (dist rows once per
     // distinct row — tap groups share) so a same-shape rebuild reuses the
     // identical slab memory; reset() drops the lists wholesale when the
-    // node count changed.  Rows shared with an epoch snapshot stay alive
-    // through the snapshot's own references and are skipped by the
-    // allocator until retired.
+    // node count changed.
     std::unordered_set<const Cost*> released;
     for (StoredRow& row : rows_) {
       if (row.dist && released.insert(row.dist.get()).second) {
@@ -418,7 +369,6 @@ void MetricClosure::build_or_extend(const Graph& g, const std::vector<NodeId>& h
   for (std::size_t i = 0; i < fresh.size(); ++i) {
     StoredRow& row = rows_[base + i];
     row.source = fresh[i];
-    row.gen = write_gen_;
     row.idx = store_.alloc_idx();
     const Tap& t = taps[i];
     if (t.host == kInvalidNode) {

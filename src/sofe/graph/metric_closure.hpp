@@ -8,10 +8,8 @@
 // each hub's Dijkstra tree once and shares it.
 //
 // Storage is slab-backed rows (RowStore, DESIGN.md §13): each hub owns one
-// dist row and one idx row (parents + parent edges) addressed by slot, tap
-// hubs alias their host's dist row, and api::ClosureSession::publish
-// snapshots the closure by sharing row references copy-on-write instead of
-// deep-copying trees.
+// dist row and one idx row (parents + parent edges) addressed by slot, and
+// tap hubs alias their host's dist row.
 
 #include <cassert>
 #include <cstdint>
@@ -71,14 +69,13 @@ class MetricClosure {
   /// sessions keep one MetricClosure object across solves.
   MetricClosure() = default;
 
-  /// Rows are shared-by-reference with published epochs; a plain copy
-  /// would share them without the copy-on-write pins.  Snapshot through
-  /// snapshot_to() instead.  Moves are fine.
+  /// Rows are slab references: a plain copy would share them, and the two
+  /// closures' in-place repairs would overwrite each other's trees.  Moves
+  /// are fine.
   MetricClosure(const MetricClosure&) = delete;
   MetricClosure& operator=(const MetricClosure&) = delete;
   MetricClosure(MetricClosure&&) = default;
   MetricClosure& operator=(MetricClosure&&) = default;
-  ~MetricClosure() { release_rows(); }
 
   /// (Re)builds the closure in place.  Row storage is recycled through the
   /// store's free lists, so a session that rebuilds after an edge-cost
@@ -112,10 +109,7 @@ class MetricClosure {
   /// representative per distinct zero-cost-tap host carries its whole tap
   /// group by re-derivation, so the repair count matches the build's
   /// Dijkstra count rather than the (vms_per_dc times larger) tree count.
-  /// Threading stripes the representative repairs over workers.  Rows
-  /// living in slabs pinned by a published epoch are relocated (copied)
-  /// before the repair writes them — the copy-on-write half of
-  /// snapshot_to()'s contract.
+  /// Threading stripes the representative repairs over workers.
   void refresh(const Graph& g, std::span<const EdgeCostDelta> deltas, int num_threads = 1,
                ShortestPathEngine* engine = nullptr);
 
@@ -126,20 +120,6 @@ class MetricClosure {
   /// costing one repair per solve.
   void retain(const std::vector<NodeId>& hubs);
 
-  /// Shares every row with `out` (an epoch snapshot): row references are
-  /// copied and each distinct slab is pinned once, so this costs O(rows),
-  /// not O(rows · V).  While the snapshot is live, this closure's
-  /// refresh/retain/build relocate instead of overwriting pinned rows —
-  /// the snapshot stays bitwise frozen at its publish generation.  Undo
-  /// with out.release_rows() (api::ClosureSession::retire).
-  void snapshot_to(MetricClosure& out) const;
-
-  /// Unpins and drops every row reference (the epoch side of the COW
-  /// handshake; also run by the destructor).  Slabs whose last reference
-  /// this was are freed; slabs shared with the live closure return to
-  /// writability once their pin count hits zero.
-  void release_rows();
-
   /// Whether this closure was built with a bounded scope (truncated trees).
   bool bounded() const noexcept { return bounded_; }
 
@@ -147,19 +127,8 @@ class MetricClosure {
   std::size_t hub_count() const noexcept { return rows_.size(); }
 
   /// Bytes held by this closure's slabs (live rows, open slabs and free
-  /// lists; epoch snapshots share rather than double-count — each
-  /// closure's walk counts every slab it can reach exactly once).
+  /// lists; every slab is counted once however many rows alias it).
   std::size_t memory_bytes() const;
-
-  /// The write generation stamped on a hub's row: bumped per mutating
-  /// operation (build/extend/refresh), so an epoch snapshot's rows keep
-  /// the generation they were published at while the live closure's move
-  /// ahead — the observable face of the COW rule (tests).
-  std::uint64_t row_generation(NodeId hub) const {
-    const auto it = tree_index_.find(hub);
-    assert(it != tree_index_.end() && "node is not a hub of this closure");
-    return rows_[it->second].gen;
-  }
 
   /// Shortest-path distance from hub `from` to any node `to`.
   /// Requires `from` to be a hub.
@@ -188,12 +157,13 @@ class MetricClosure {
  private:
   /// One hub's stored tree: a dist row (possibly aliased with the hub's
   /// zero-cost-tap host image) plus a privately owned idx row of parents
-  /// and parent edges.
-  struct StoredRow {
+  /// and parent edges.  One descriptor per cache line: tree() reads one on
+  /// every hub lookup of pricing and shortening, and the unaligned 56-byte
+  /// layout measured about 10% fewer arrivals/s on the Cogent workloads.
+  struct alignas(64) StoredRow {
     NodeId source = kInvalidNode;
     RowStore::DistRef dist;
     RowStore::IdxRef idx;
-    std::uint64_t gen = 0;  // write_gen_ at last content write
   };
 
   void build_or_extend(const Graph& g, const std::vector<NodeId>& hubs, int num_threads,
@@ -209,9 +179,7 @@ class MetricClosure {
   RowStore store_;
   std::vector<StoredRow> rows_;
   std::unordered_map<NodeId, std::size_t> tree_index_;
-  std::size_t n_ = 0;          // node count the rows cover
-  std::uint64_t write_gen_ = 0;  // bumped by every mutating operation
-  bool pinned_ = false;        // populated by snapshot_to: rows hold slab pins
+  std::size_t n_ = 0;  // node count the rows cover
   bool bounded_ = false;
   std::vector<NodeId> settle_targets_;  // bounded builds: hubs ∪ extra targets
 };

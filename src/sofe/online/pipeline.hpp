@@ -2,8 +2,8 @@
 // Epoch-pipelined concurrent arrival service (DESIGN.md §10).
 //
 // The production shape of the online layer: arrivals queue up, N worker
-// sessions price different queued arrivals in parallel against one
-// immutable epoch snapshot (graph prices + published read-only metric
+// sessions price the arrivals of one epoch in parallel against one
+// immutable epoch snapshot (graph prices + the publisher's read-only metric
 // closure + ledger state frozen at epoch open), and a single commit stage
 // serializes ledger writes in arrival order — folding each epoch's price
 // movements into ONE EdgeCostDelta batch that drives closure repair per
@@ -13,11 +13,8 @@
 // is bitwise identical to the sequential driver `online::simulate` at the
 // same epoch_size, at ANY worker count — the sequential loop is the
 // 1-worker degenerate case, and OnlineConfig::epoch_size = 1 makes both of
-// them the paper's per-arrival Fig. 12 loop.  Workers may speculate one
-// epoch ahead; a speculative result priced against epoch E commits at
-// E + k only if no price moved in between (then it is bitwise the fresh
-// result, by solver determinism), otherwise it is discarded and the slot
-// re-solves at current prices (the stale-price repricing rule, §10).
+// them the paper's per-arrival Fig. 12 loop.  Every slot is priced at the
+// epoch that commits it: no worker prices a slot before its epoch opens.
 //
 // Declared here in the online layer, implemented in src/sofe/api/
 // pipeline.cpp: the pipeline drives api::Solver sessions, and the layer
@@ -41,18 +38,15 @@ struct PipelineOptions {
   /// 1 reproduces the sequential driver's schedule with the pipeline's
   /// machinery (still bit-identical — as is every other count).
   int workers = 1;
-  /// How many epochs ahead an idle worker may speculate (it prices a
-  /// not-yet-opened slot against the current snapshot; the stale-price
-  /// rule validates or re-solves at commit).  0 disables speculation.
-  int lookahead_epochs = 1;
+  int lookahead_epochs = 1;  // ignored; kept only because perfbench/ sets it
 };
 
 /// The admission pipeline.  One instance serves one arrival stream; run()
 /// may be called once.  Construction validates the OnlineConfig
 /// (std::invalid_argument on nonsense) and resolves `solver_name` against
 /// the global SolverRegistry — each worker owns a private solver session
-/// built from these options, plus a private Problem replica advanced by
-/// the per-epoch delta batch.
+/// built from these options, plus a private Problem replica the publisher
+/// advances by each epoch's delta batch.
 class Pipeline {
  public:
   Pipeline(const topology::Topology& topo, const OnlineConfig& cfg, std::string solver_name,

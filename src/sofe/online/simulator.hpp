@@ -122,12 +122,17 @@ struct OnlineResult {
   std::size_t overloaded_links = 0;
   int workers = 1;     // echo: pricing workers (1 = the sequential driver)
   int epoch_size = 1;  // echo: OnlineConfig::epoch_size
-  // Pipeline-only diagnostics.  Timing-dependent — two runs of the same
-  // scenario may split speculation differently — so they are excluded from
-  // every determinism comparison; the cost series above never varies.
-  int stale_repriced = 0;       // speculative results discarded and re-solved
-  int speculative_commits = 0;  // speculative results that validated as fresh
+  // Pipeline-only diagnostics, excluded from every determinism comparison.
+  int stale_repriced = 0;       // always 0; kept only because perfbench/ reads it
+  int speculative_commits = 0;  // always 0; kept only because perfbench/ reads it
   double publish_seconds = 0.0; // commit-thread wall spent publishing epochs
+  /// Outcome of the publisher session's closure acquire, one per epoch
+  /// (ClosureSession::acquire: hit, in-place repair or rebuild).  They sum
+  /// to the epoch count for solver families that price against an epoch
+  /// closure, and stay 0 for the rest and for the sequential driver.
+  int publish_hits = 0;
+  int publish_repairs = 0;
+  int publish_rebuilds = 0;
   /// Peak closure slab footprint of the publisher session over every
   /// epoch publish (DESIGN.md §13).  Zero for the sequential driver (its
   /// per-solve footprint lives on the solver's ReportAccumulator) and for

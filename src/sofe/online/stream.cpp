@@ -199,8 +199,7 @@ void ArrivalStream::release(int admitted_slot) {
   if (has_failures_) admitted_[static_cast<std::size_t>(admitted_slot)] = core::ServiceForest{};
 }
 
-int ArrivalStream::open_epoch(int first, std::vector<graph::EdgeCostDelta>* moved,
-                              bool* node_costs_moved) {
+int ArrivalStream::open_epoch(int first, std::vector<graph::EdgeCostDelta>* moved) {
   assert(first >= 0 && first < cfg_.requests);
   epoch_first_ = first;
   const int count = std::min(cfg_.epoch_size, cfg_.requests - first);
@@ -246,7 +245,6 @@ int ArrivalStream::open_epoch(int first, std::vector<graph::EdgeCostDelta>* move
   // untouched link keeps its cost, its CSR entry and its place outside the
   // delta batch).
   if (moved != nullptr) moved->clear();
-  bool node_moved = false;
   for (EdgeId e = 0; e < n_physical_; ++e) {
     const Cost price = (has_failures_ && fail_count_[static_cast<std::size_t>(e)] > 0)
                            ? graph::kInfiniteCost
@@ -260,12 +258,8 @@ int ArrivalStream::open_epoch(int first, std::vector<graph::EdgeCostDelta>* move
   for (std::size_t i = 0; i < vm_host_.size(); ++i) {
     const Cost price = cfg_.setup_scale * ledger_.host_price(vm_host_[i]);
     Cost& slot = master_.node_cost[static_cast<std::size_t>(n_access_) + i];
-    if (slot != price) {
-      slot = price;
-      node_moved = true;
-    }
+    if (slot != price) slot = price;
   }
-  if (node_costs_moved != nullptr) *node_costs_moved = node_moved;
 
   // Recover every live embedding the failure batch broke, still inside the
   // epoch open — in the pipeline this runs on the commit thread while all

@@ -110,10 +110,8 @@ class ArrivalStream {
   /// refreshes link prices and VM setup costs from the ledger — writing
   /// only values that actually moved, so the master keeps its CSR cache
   /// and solver sessions see a cost-only delta batch.  Returns count.
-  /// `moved` (optional) receives one EdgeCostDelta per rewritten link;
-  /// `node_costs_moved` is set when any VM setup cost changed.
-  int open_epoch(int first, std::vector<graph::EdgeCostDelta>* moved = nullptr,
-                 bool* node_costs_moved = nullptr);
+  /// `moved` (optional) receives one EdgeCostDelta per rewritten link.
+  int open_epoch(int first, std::vector<graph::EdgeCostDelta>* moved = nullptr);
 
   /// Stages slot r's request on the master (sources/destinations assigned
   /// in place) and returns it, ready to hand to an embedder.

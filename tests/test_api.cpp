@@ -476,10 +476,11 @@ TEST(PricingCache, SessionTracksFreeFunctionAcrossArrivalStyleMutations) {
 }
 
 TEST(PricingCache, MixedSolveAndSolveEpochStayBitwiseCold) {
-  // One "sofda" session alternates between its own closure (solve) and
-  // published epochs (solve_epoch).  The pricing cache is shared by both:
-  // at unchanged prices a mode switch serves every chain from cache, any
-  // price move flushes — and every forest stays bitwise the cold one.
+  // One "sofda" session alternates between its own closure (solve) and a
+  // publisher session's closure (solve_epoch).  The pricing cache is shared
+  // by both: at unchanged prices a mode switch serves every chain from
+  // cache, any price move flushes — and every forest stays bitwise the
+  // cold one.
   const auto topo = topology::softlayer();
   topology::ProblemConfig cfg;
   cfg.seed = 23;
@@ -487,11 +488,10 @@ TEST(PricingCache, MixedSolveAndSolveEpochStayBitwiseCold) {
   auto solver = make_solver("sofda");
   api::ClosureSession publisher;
   const auto solve_epoch = [&](const Problem& q) {
-    publisher.retire();
     std::vector<NodeId> hubs = q.vms();
     hubs.insert(hubs.end(), q.sources.begin(), q.sources.end());
     api::SolveReport unused;
-    return solver->solve_epoch(q, publisher.publish(q.network, hubs, {}, unused));
+    return solver->solve_epoch(q, publisher.acquire(q.network, hubs, {}, unused));
   };
 
   EXPECT_TRUE(forests_equal(solver->solve(p), core::sofda(p)));
@@ -521,7 +521,6 @@ TEST(PricingCache, MixedSolveAndSolveEpochStayBitwiseCold) {
   EXPECT_TRUE(solver->report().pricing_flushed);
   EXPECT_TRUE(forests_equal(solve_epoch(p), core::sofda(p)));
   EXPECT_EQ(solver->report().pricing_repriced, 0);
-  publisher.retire();
 }
 
 TEST(PricingCache, AccumulatorAggregatesPricingTallies) {
@@ -652,88 +651,6 @@ TEST(SolverOptions, RoundTripsThroughAlgoOptions) {
 }
 
 // --- Steady-state closure engine (DESIGN.md §13) --------------------------
-
-TEST(CowPublish, EpochStaysBitwiseFrozenWhileTheLiveClosureRepairs) {
-  auto g = quickstart_instance().network;
-  const std::vector<NodeId> hubs{0, 5, 2};
-  api::ClosureSession session;
-  api::ClosureRequest req;
-  api::SolveReport rep;
-
-  const api::ClosureEpoch epoch = session.publish(g, hubs, req, rep);
-  ASSERT_NE(epoch.closure, nullptr);
-  const auto before = epoch.closure->tree(0).materialize();
-  const core::Cost* epoch_dist = epoch.closure->tree(0).dist;
-  const std::uint64_t epoch_gen = epoch.closure->row_generation(0);
-
-  // Publishing shares row slabs, it does not deep-copy: the live closure's
-  // row for hub 0 is the very same memory the epoch reads.
-  api::SolveReport hit_rep;
-  const graph::MetricClosure& live = session.acquire(g, hubs, req, hit_rep);
-  EXPECT_TRUE(hit_rep.closure_cache_hit);
-  EXPECT_EQ(live.tree(0).dist, epoch_dist);
-
-  // A cost move dirties hub 0's tree; the live session repairs.  The
-  // epoch pins its slabs, so the repair relocates the row (copy-on-write)
-  // instead of overwriting what the epoch's readers see.
-  g.set_edge_cost(g.find_edge(0, 1), 10.0);
-  api::SolveReport repair_rep;
-  session.acquire(g, hubs, req, repair_rep);
-  ASSERT_TRUE(repair_rep.closure_repaired);
-  EXPECT_NE(live.tree(0).dist, epoch_dist);
-  EXPECT_NE(live.tree(0).materialize().dist, before.dist);
-
-  // The published face is untouched: same memory, same values, still the
-  // publish-time write generation — while the live row moved ahead.
-  EXPECT_EQ(epoch.closure->tree(0).dist, epoch_dist);
-  const auto after = epoch.closure->tree(0).materialize();
-  EXPECT_EQ(after.dist, before.dist);
-  EXPECT_EQ(after.parent, before.parent);
-  EXPECT_EQ(after.parent_edge, before.parent_edge);
-  EXPECT_EQ(epoch.closure->row_generation(0), epoch_gen);
-  EXPECT_GT(live.row_generation(0), epoch_gen);
-
-  session.retire();
-}
-
-TEST(CowPublish, RetireUnpinsSlabsAndRepairsGoBackInPlace) {
-  auto g = quickstart_instance().network;
-  const std::vector<NodeId> hubs{0, 5};
-  api::ClosureSession session;
-  api::ClosureRequest req;
-  api::SolveReport rep;
-
-  const graph::MetricClosure& live = session.acquire(g, hubs, req, rep);
-  const core::Cost* row0 = live.tree(0).dist;
-
-  // Nothing pinned: a repair writes the row in place (no allocation).
-  g.set_edge_cost(g.find_edge(0, 1), 5.0);
-  api::SolveReport r1;
-  session.acquire(g, hubs, req, r1);
-  ASSERT_TRUE(r1.closure_repaired);
-  EXPECT_EQ(live.tree(0).dist, row0);
-
-  // Published epoch: its pin forces the next repair to relocate.
-  const api::ClosureEpoch epoch = session.publish(g, hubs, req, rep);
-  g.set_edge_cost(g.find_edge(0, 1), 7.0);
-  api::SolveReport r2;
-  session.acquire(g, hubs, req, r2);
-  ASSERT_TRUE(r2.closure_repaired);
-  const core::Cost* relocated = live.tree(0).dist;
-  EXPECT_NE(relocated, row0);
-  EXPECT_EQ(epoch.closure->tree(0).dist, row0);
-
-  // Retire drops the snapshot's rows and unpins its slabs; with the pin
-  // gone, repairs are in place again (the pipeline retires before each
-  // publish for exactly this reason).
-  session.retire();
-  EXPECT_EQ(epoch.closure->hub_count(), 0u);
-  g.set_edge_cost(g.find_edge(0, 1), 9.0);
-  api::SolveReport r3;
-  session.acquire(g, hubs, req, r3);
-  ASSERT_TRUE(r3.closure_repaired);
-  EXPECT_EQ(live.tree(0).dist, relocated);
-}
 
 // The session memory bound (DESIGN.md §13): after every incremental
 // acquire the stored closure holds exactly the distinct requested hubs, and

@@ -1,6 +1,7 @@
 // Epoch-pipelined admission service tests (DESIGN.md §10): worker-count
-// determinism against the sequential driver, the stale-price repricing
-// rule under mid-epoch departures and OnlineConfig validation.
+// determinism against the sequential driver (also with more workers than
+// epoch slots and mid-epoch departures), the publisher's per-epoch closure
+// outcome and OnlineConfig validation.
 
 #include <gtest/gtest.h>
 
@@ -120,12 +121,12 @@ TEST(PipelineDeterminism, DegenerateCaseIsTheSequentialLoop) {
   expect_series_identical(free_fn, serve_pipelined(topo, cfg, "sofda", {}, one));
 }
 
-// The stale-epoch gadget: holding_arrivals < epoch_size makes departures
-// land mid-epoch, so the NEXT epoch's refresh moves prices downward while
-// speculating workers (workers > epoch slots, lookahead on) already hold
-// results priced against the old snapshot.  The stale-price rule must
-// discard and re-solve them — the series still matches sequentially.
-TEST(PipelineDeterminism, StaleEpochGadgetWithMidEpochDepartures) {
+// More workers than epoch slots, with mid-epoch departures:
+// holding_arrivals < epoch_size makes departures land mid-epoch, so the
+// NEXT epoch's refresh moves prices downward while idle workers wait on
+// the epoch barrier.  No slot may be priced before its epoch opens — the
+// series still matches sequentially.
+TEST(PipelineDeterminism, MoreWorkersThanEpochSlotsWithMidEpochDepartures) {
   const auto topo = topology::softlayer();
   auto cfg = pipeline_config();
   cfg.requests = 16;
@@ -133,28 +134,8 @@ TEST(PipelineDeterminism, StaleEpochGadgetWithMidEpochDepartures) {
   cfg.epoch_size = 4;
   const OnlineResult ref = sequential_reference(topo, cfg);
   PipelineOptions popt;
-  popt.workers = 8;  // more workers than epoch slots forces speculation
-  popt.lookahead_epochs = 1;
-  const OnlineResult got = serve_pipelined(topo, cfg, "sofda", {}, popt);
-  expect_series_identical(ref, got);
-  // Speculation happened one way or the other; both outcomes of the rule
-  // are schedule-dependent, so only their sum's possibility is asserted.
-  EXPECT_GE(got.stale_repriced + got.speculative_commits, 0);
-}
-
-// Speculation off: lookahead 0 never prices ahead, so nothing can go
-// stale, and the series still matches.
-TEST(PipelineDeterminism, NoSpeculationStillMatches) {
-  const auto topo = topology::softlayer();
-  auto cfg = pipeline_config();
-  cfg.epoch_size = 4;
-  PipelineOptions popt;
-  popt.workers = 4;
-  popt.lookahead_epochs = 0;
-  const OnlineResult got = serve_pipelined(topo, cfg, "sofda", {}, popt);
-  expect_series_identical(sequential_reference(topo, cfg), got);
-  EXPECT_EQ(got.stale_repriced, 0);
-  EXPECT_EQ(got.speculative_commits, 0);
+  popt.workers = 8;  // twice the epoch's slots
+  expect_series_identical(ref, serve_pipelined(topo, cfg, "sofda", {}, popt));
 }
 
 // Solvers that don't price against shared closures run through the
@@ -196,16 +177,40 @@ TEST(PipelineReports, SinkCollectsQueueWaitAndCommitPhases) {
   auto cfg = pipeline_config();
   cfg.requests = 8;
   cfg.epoch_size = 4;
-  Pipeline pipeline(topo, cfg, "sofda", {}, PipelineOptions{2, 1});
+  PipelineOptions popt;
+  popt.workers = 2;
+  Pipeline pipeline(topo, cfg, "sofda", {}, popt);
   api::ReportAccumulator acc;
   pipeline.set_report_sink(&acc);
   (void)pipeline.run();
-  // One committed report per arrival (a re-solved stale slot folds its
-  // replacement, not both), with matching phase sample counts.
+  // One committed report per arrival, with matching phase sample counts.
   EXPECT_EQ(acc.solves(), 8u);
   EXPECT_EQ(acc.queue_wait().count, 8u);
   EXPECT_EQ(acc.commit().count, 8u);
   EXPECT_GE(acc.queue_wait().total, 0.0);
+}
+
+// The publisher's closure acquire outcome (hit, repair or rebuild) is
+// counted once per epoch for a family that prices against the epoch
+// closure, and never for one that does not.
+TEST(PipelineReports, PublishOutcomeCountsOncePerEpoch) {
+  const auto topo = topology::softlayer();
+  auto cfg = pipeline_config();
+  cfg.requests = 13;  // the last epoch is a partial one
+  cfg.epoch_size = 4;
+  cfg.holding_arrivals = 3;
+  PipelineOptions popt;
+  popt.workers = 2;
+  const OnlineResult sofda = serve_pipelined(topo, cfg, "sofda", {}, popt);
+  EXPECT_EQ(sofda.publish_hits + sofda.publish_repairs + sofda.publish_rebuilds, 4);
+  EXPECT_GE(sofda.publish_rebuilds, 1);  // the first publish starts cold
+  EXPECT_GT(sofda.peak_closure_bytes, 0u);
+
+  const OnlineResult est = serve_pipelined(topo, cfg, "baseline/est", {}, popt);
+  EXPECT_EQ(est.publish_hits, 0);
+  EXPECT_EQ(est.publish_repairs, 0);
+  EXPECT_EQ(est.publish_rebuilds, 0);
+  EXPECT_EQ(est.peak_closure_bytes, 0u);
 }
 
 TEST(PipelineValidation, RejectsDegenerateConfigs) {
