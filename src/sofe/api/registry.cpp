@@ -77,6 +77,7 @@ class SofdaSolver final : public Solver {
         pricing_.price(p, closure, p.sources, {}, opt_.algo(), opt_.threads, &tally);
     r.pricing_hits = tally.hits;
     r.pricing_repriced = tally.repriced;
+    r.pricing_pruned = tally.pruned;
     r.pricing_flushed = tally.flushed;
     r.pricing_seconds = watch.seconds();
     watch.reset();

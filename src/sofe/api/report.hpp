@@ -44,6 +44,7 @@ class ReportAccumulator {
     if (!r.feasible) ++infeasible_;
     pricing_hits_ += static_cast<std::size_t>(r.pricing_hits);
     pricing_repriced_ += static_cast<std::size_t>(r.pricing_repriced);
+    pricing_pruned_ += static_cast<std::size_t>(r.pricing_pruned);
     if (r.pricing_flushed) ++pricing_flushes_;
     peak_closure_bytes_ = std::max(peak_closure_bytes_, r.closure_bytes);
   }
@@ -73,6 +74,9 @@ class ReportAccumulator {
   std::size_t pricing_hits() const noexcept { return pricing_hits_; }
   /// Chains re-priced across all solves (cold, invalidated, or flushed).
   std::size_t pricing_repriced() const noexcept { return pricing_repriced_; }
+  /// (Source, last VM) pairs the dominance bound skipped across all solves:
+  /// hits + repriced + pruned is every eligible pair (DESIGN.md §9).
+  std::size_t pricing_pruned() const noexcept { return pricing_pruned_; }
   /// Solves on which the pricing cache dropped every cached chain.
   std::size_t pricing_flushes() const noexcept { return pricing_flushes_; }
   /// Largest per-solve closure slab footprint seen (closure_bytes max).
@@ -119,6 +123,7 @@ class ReportAccumulator {
   std::size_t infeasible_ = 0;
   std::size_t pricing_hits_ = 0;
   std::size_t pricing_repriced_ = 0;
+  std::size_t pricing_pruned_ = 0;
   std::size_t pricing_flushes_ = 0;
   std::size_t peak_closure_bytes_ = 0;
 };

@@ -119,6 +119,7 @@ struct SolveReport {
 
   int pricing_hits = 0;      // chains served from the pricing cache (§9)
   int pricing_repriced = 0;  //   chains re-priced this solve
+  int pricing_pruned = 0;    //   pairs skipped: above their last VM's best
   bool pricing_flushed = false;  //   this solve dropped every cached chain
 
   /// Always 0 since the row-retention window was removed (DESIGN.md §13):

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <mutex>
 #include <thread>
 
 namespace sofe::core {
@@ -19,43 +20,96 @@ bool PricingSession::key_matches(const Problem& p, const std::vector<NodeId>& vm
          key_node_cost_ == p.node_cost && key_source_setup_ == p.source_setup_cost;
 }
 
-void PricingSession::price_source(const Problem& p, const graph::MetricClosure& closure,
-                                  NodeId s, Bucket& bucket,
-                                  kstroll::InstanceAssembler& assembler, const AlgoOptions& opt,
-                                  std::vector<PricedChain>& out, int& hits, int& repriced) {
-  // The shared-block assembly needs the main construction (zero source
-  // setup) and a source outside the VM set; anything else re-prices
-  // through the per-pair builder — same results, just not as fast.
-  const bool fast = !vm_pos_.contains(s) && p.source_cost(s) == 0.0;
-  bool bound = false;
-  for (std::size_t j = 0; j < key_vms_.size(); ++j) {
-    const NodeId u = key_vms_[j];
-    if (u == s) continue;
-    Entry& e = bucket.entries[j];
+/// What one price() call shares with every worker: read-only but for the
+/// once-flag that builds the shared block.
+struct PricingSession::Call {
+  struct Source {
+    NodeId id;
+    Bucket* bucket;
+    bool in_vms;  // s ∈ M: excluded from its chains' VMs
+    bool fast;    // the shared-block assembly applies
+  };
+  const Problem& p;
+  const graph::MetricClosure& closure;
+  const AlgoOptions& opt;
+  std::vector<Source> sources;  // ascending id; index i owns dist_rows_ row i
+  std::once_flag block_once;    // the shared block is built on first need
+};
+
+Cost PricingSession::cheapest_setups(const Problem& p, std::size_t count, NodeId a,
+                                     NodeId b) const {
+  Cost sum = 0.0;
+  for (std::size_t j : cheap_order_) {
+    if (count == 0) break;
+    const NodeId v = key_vms_[j];
+    if (v == a || v == b) continue;
+    sum += p.node_cost[static_cast<std::size_t>(v)];
+    --count;
+  }
+  return count == 0 ? sum : graph::kInfiniteCost;
+}
+
+void PricingSession::price_last_vm(Call& call, std::size_t j, Worker& w) {
+  const Problem& p = call.p;
+  const std::size_t m = key_vms_.size();
+  const NodeId u = key_vms_[j];
+  const Cost cu = p.node_cost[static_cast<std::size_t>(u)];
+
+  // LB(s, u) = c(s) + d(s, u) + c(u) + the |C| - 1 cheapest setups over
+  // VMs other than s and u: any s -> u walk in G is at least d(s, u) long
+  // and enables |C| distinct VMs ending at u, so no chain — the heuristic
+  // walk included — costs less.
+  const auto rest = static_cast<std::size_t>(p.chain_length - 1);
+  const Cost cheap_u = cheapest_setups(p, rest, u, u);
+  w.order.clear();
+  for (std::size_t i = 0; i < call.sources.size(); ++i) {
+    const Call::Source& src = call.sources[i];
+    if (src.id == u) continue;
+    const Cost cheap = src.in_vms ? cheapest_setups(p, rest, src.id, u) : cheap_u;
+    w.order.emplace_back(p.source_cost(src.id) + dist_rows_[i * m + j] + cu + cheap, i);
+  }
+  std::sort(w.order.begin(), w.order.end());  // (LB, source id): srcs ascend
+
+  Cost best = graph::kInfiniteCost;
+  std::size_t visited = 0;
+  for (; visited < w.order.size(); ++visited) {
+    const auto [lb, i] = w.order[visited];
+    if (lb * (1.0 - kBoundSlack) > best) break;  // so is every later source
+    const Call::Source& src = call.sources[i];
+    Entry& e = src.bucket->entries[j];
     if (e.state == Entry::State::kUnknown) {
-      ++repriced;
-      if (fast) {
-        // Mirrors plan_chain_walk: reachability gate, then the shared
-        // Procedure-2 tail on the assembled instance.
-        if (!closure.tree(s).reachable(u)) {
-          e.plan = ChainPlan{};
-          e.plan.source = s;
-          e.plan.last_vm = u;
-        } else {
-          if (!bound) {
-            assembler.bind_source(block_, closure, key_vms_, s);
-            bound = true;
-          }
-          e.plan = plan_chain_walk_on(p, closure, assembler.with_last_vm(j, u, p.node_cost), opt);
-        }
+      ++w.repriced;
+      const NodeId s = src.id;
+      if (!src.fast) {
+        e.plan = plan_chain_walk(p, call.closure, s, key_vms_, u, call.opt);
+      } else if (!(dist_rows_[i * m + j] < graph::kInfiniteCost)) {
+        // Mirrors plan_chain_walk's reachability gate.
+        e.plan = ChainPlan{};
+        e.plan.source = s;
+        e.plan.last_vm = u;
       } else {
-        e.plan = plan_chain_walk(p, closure, s, key_vms_, u, opt);
+        if (!w.block_bound) {
+          std::call_once(call.block_once, [&] {
+            if (!block_.valid()) block_.build(call.closure, key_vms_, p.node_cost);
+          });
+          w.assembler.bind_block(block_, key_vms_);
+          w.block_bound = true;
+        }
+        w.assembler.bind_source(s, dist_rows_.data() + i * m);
+        e.plan = plan_chain_walk_on(p, call.closure, w.assembler.with_last_vm(j, u, p.node_cost),
+                                    call.opt);
       }
       e.state = e.plan.feasible() ? Entry::State::kFeasible : Entry::State::kInfeasible;
     } else {
-      ++hits;
+      ++w.hits;
     }
-    if (e.state == Entry::State::kFeasible) out.push_back(PricedChain{s, u, e.plan});
+    if (e.state == Entry::State::kFeasible) best = std::min(best, e.plan.cost);
+  }
+  w.pruned += static_cast<int>(w.order.size() - visited);
+  for (std::size_t k = 0; k < visited; ++k) {
+    const std::size_t i = w.order[k].second;
+    const Entry& e = call.sources[i].bucket->entries[j];
+    if (e.state == Entry::State::kFeasible && e.plan.cost == best) winners_[i * m + j] = 1;
   }
 }
 
@@ -94,6 +148,13 @@ std::vector<PricedChain> PricingSession::price(const Problem& p,
     key_source_setup_ = p.source_setup_cost;
     vm_pos_.clear();
     for (std::size_t j = 0; j < key_vms_.size(); ++j) vm_pos_.emplace(key_vms_[j], j);
+    cheap_order_.resize(key_vms_.size());
+    for (std::size_t j = 0; j < key_vms_.size(); ++j) cheap_order_[j] = j;
+    std::sort(cheap_order_.begin(), cheap_order_.end(), [&](std::size_t a, std::size_t b) {
+      const Cost ca = p.node_cost[static_cast<std::size_t>(key_vms_[a])];
+      const Cost cb = p.node_cost[static_cast<std::size_t>(key_vms_[b])];
+      return ca != cb ? ca < cb : a < b;
+    });
     t.flushed = true;
   }
 
@@ -109,67 +170,67 @@ std::vector<PricedChain> PricingSession::price(const Problem& p,
                                                                    : buckets_.erase(it);
     }
   }
+  const std::size_t m = key_vms_.size();
+  Call call{p, closure, opt, {}, {}};
+  call.sources.reserve(srcs.size());
   for (NodeId s : srcs) {
     Bucket& b = buckets_[s];
-    if (b.entries.size() != key_vms_.size()) b.entries.assign(key_vms_.size(), Entry{});
+    if (b.entries.size() != m) b.entries.assign(m, Entry{});
+    // The shared-block assembly needs the main construction (zero source
+    // setup) and a source outside the VM set; anything else prices
+    // through the per-pair builder — same results, just not as fast.
+    const bool in_vms = vm_pos_.contains(s);
+    call.sources.push_back({s, &b, in_vms, !in_vms && p.source_cost(s) == 0.0});
   }
 
-  // --- 3. Shared block: (re)built once per call at most — the cost of
-  // pricing ONE source the slow way buys the fast path for all of them. ---
-  if (!block_.valid() && !key_vms_.empty()) {
-    bool needed = false;
-    for (NodeId s : srcs) {
-      if (vm_pos_.contains(s) || p.source_cost(s) != 0.0) continue;
-      const Bucket& b = buckets_.at(s);
-      for (const Entry& e : b.entries) {
-        if (e.state == Entry::State::kUnknown) {
-          needed = true;
-          break;
-        }
-      }
-      if (needed) break;
-    }
-    if (needed) block_.build(closure, key_vms_, p.node_cost);
+  // --- 3. The source rows d(s, ·), read once: they feed both the bound
+  // and the assembled instances' source rows. ---
+  dist_rows_.resize(srcs.size() * m);
+  for (std::size_t i = 0; i < srcs.size(); ++i) {
+    const auto tree = closure.tree(srcs[i]);
+    for (std::size_t j = 0; j < m; ++j) dist_rows_[i * m + j] = tree.distance(key_vms_[j]);
   }
+  winners_.assign(srcs.size() * m, 0);
 
-  // --- 4. Price: sources striped over workers in a fixed assignment, each
-  // into its own bucket, so the concatenated buckets reproduce the serial
-  // output bit for bit at any thread count. ---
+  // --- 4. Price: last VMs striped over workers in a fixed assignment.  A
+  // pair's entry, its winner flag and its tally belong to the one worker
+  // owning its VM, so output and tallies are the serial ones bit for bit
+  // at any thread count. ---
   const std::size_t workers = std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(num_threads, 1)), std::max<std::size_t>(srcs.size(), 1));
-  if (assemblers_.size() < workers) assemblers_.resize(workers);
-  std::vector<std::vector<PricedChain>> per_source(srcs.size());
-  std::vector<int> per_hits(srcs.size(), 0);
-  std::vector<int> per_repriced(srcs.size(), 0);
-
+      static_cast<std::size_t>(std::max(num_threads, 1)), std::max<std::size_t>(m, 1));
+  if (workers_.size() < workers) workers_.resize(workers);
+  for (std::size_t k = 0; k < workers; ++k) {
+    Worker& w = workers_[k];
+    w.block_bound = false;
+    w.hits = w.repriced = w.pruned = 0;
+  }
   if (workers <= 1) {
-    for (std::size_t i = 0; i < srcs.size(); ++i) {
-      price_source(p, closure, srcs[i], buckets_.at(srcs[i]), assemblers_[0], opt,
-                   per_source[i], per_hits[i], per_repriced[i]);
-    }
+    for (std::size_t j = 0; j < m; ++j) price_last_vm(call, j, workers_[0]);
   } else {
     p.network.ensure_csr();  // lift queries only read; keep csr() race-free
     std::vector<std::thread> pool;
     pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&, w] {
-        for (std::size_t i = w; i < srcs.size(); i += workers) {
-          price_source(p, closure, srcs[i], buckets_.at(srcs[i]), assemblers_[w], opt,
-                       per_source[i], per_hits[i], per_repriced[i]);
-        }
+    for (std::size_t k = 0; k < workers; ++k) {
+      pool.emplace_back([&, k] {
+        for (std::size_t j = k; j < m; j += workers) price_last_vm(call, j, workers_[k]);
       });
     }
     for (std::thread& th : pool) th.join();
   }
+  for (std::size_t k = 0; k < workers; ++k) {
+    t.hits += workers_[k].hits;
+    t.repriced += workers_[k].repriced;
+    t.pruned += workers_[k].pruned;
+  }
 
   std::vector<PricedChain> candidates;
-  std::size_t total = 0;
-  for (const auto& bucket : per_source) total += bucket.size();
-  candidates.reserve(total);
   for (std::size_t i = 0; i < srcs.size(); ++i) {
-    for (PricedChain& c : per_source[i]) candidates.push_back(std::move(c));
-    t.hits += per_hits[i];
-    t.repriced += per_repriced[i];
+    for (std::size_t j = 0; j < m; ++j) {
+      if (winners_[i * m + j] != 0) {
+        candidates.push_back(
+            PricedChain{srcs[i], key_vms_[j], call.sources[i].bucket->entries[j].plan});
+      }
+    }
   }
   return candidates;
 }

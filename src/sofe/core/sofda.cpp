@@ -4,6 +4,7 @@
 #include <cassert>
 #include <map>
 #include <set>
+#include <unordered_map>
 
 #include "sofe/core/pricing.hpp"
 #include "sofe/graph/mst.hpp"
@@ -87,6 +88,12 @@ std::vector<PricedChain> price_candidate_chains(const Problem& p,
 }
 
 void merge_priced_chains(std::vector<PricedChain>& chains) {
+  std::unordered_map<NodeId, Cost> best;  // last VM -> cheapest chain into it
+  for (const PricedChain& c : chains) {
+    const auto [it, fresh] = best.try_emplace(c.last_vm, c.plan.cost);
+    if (!fresh) it->second = std::min(it->second, c.plan.cost);
+  }
+  std::erase_if(chains, [&](const PricedChain& c) { return c.plan.cost != best.at(c.last_vm); });
   std::sort(chains.begin(), chains.end(), [](const PricedChain& a, const PricedChain& b) {
     return a.source != b.source ? a.source < b.source : a.last_vm < b.last_vm;
   });

@@ -21,7 +21,8 @@ namespace sofe::core {
 
 struct SofdaStats {
   ConflictStats conflicts;
-  int candidate_chains = 0;   // feasible (source, last VM) pairs priced
+  int candidate_chains = 0;   // candidates given: per last VM, the chains at
+                              // its minimum cost (ties included)
   int deployed_chains = 0;    // virtual edges selected by the Steiner tree
   int rehomed_destinations = 0;  // served via the drop-fallback (0 in practice)
   Cost steiner_tree_cost = 0.0;  // cost of T in Ĝ (the 3ρST·OPT certificate)
@@ -49,36 +50,42 @@ struct PricedChain {
   ChainPlan plan;
 };
 
-/// Step 1 of SOFDA exposed as a standalone phase: prices every feasible
-/// (source, last VM) chain for the given sources.  Sources are deduplicated
-/// and processed in ascending order, so candidates come back in canonical
-/// (source, last_vm) order regardless of the caller's grouping — merging the
-/// outputs of several calls over disjoint source sets and sorting by
-/// (source, last_vm) reproduces exactly what one call over the union yields.
-/// `closure` must hold Dijkstra trees for every source and every VM.
+/// Step 1 of SOFDA exposed as a standalone phase: for every last VM u,
+/// the feasible chains (s, u) over the given sources whose cost equals
+/// min_s c(s, u), ties included.  In Ĝ every source duplicate hangs off ŝ
+/// by a zero-cost edge, so a chain above its VM's minimum can lie on no
+/// shortest path and no Steiner step needs it (DESIGN.md §9); the rest are
+/// pruned by a lower bound and mostly never priced.  Sources are
+/// deduplicated and candidates come back in canonical (source, last_vm)
+/// order.  `closure` must hold Dijkstra trees for every source and every
+/// VM.
 ///
 /// A one-shot core::PricingSession (pricing.hpp): the shared-block instance
-/// assembly is the only pricing path.  `num_threads` > 1 stripes sources
-/// over workers in a fixed assignment, each source into its own bucket, so
-/// the output is bitwise the serial one at any thread count (tested).
-/// Values < 1 are clamped to 1.  Requires chain_length >= 1.
+/// assembly is the only pricing path.  `num_threads` > 1 stripes last VMs
+/// over workers in a fixed assignment, so the output is bitwise the
+/// serial one at any thread count (tested).  Values < 1 are clamped to 1.
+/// Requires chain_length >= 1.
 std::vector<PricedChain> price_candidate_chains(const Problem& p,
                                                 const graph::MetricClosure& closure,
                                                 const std::vector<NodeId>& sources,
                                                 const AlgoOptions& opt = {},
                                                 int num_threads = 1);
 
-/// Coordinator-side merge of per-controller pricing outputs: restores the
-/// canonical (source, last_vm) order a single price_candidate_chains call
-/// over the union of the source sets emits.  Because each per-controller
-/// call already emits canonically and the controllers' source sets are
-/// disjoint, merging then feeding sofda_from_candidates reproduces the
-/// centralized run bit for bit — the distributed driver's certificate
-/// argument rests on this.
+/// Coordinator-side merge of per-controller pricing outputs over disjoint
+/// source sets: keeps, per last VM, the chains at the global minimum (ties
+/// included) and restores the canonical (source, last_vm) order.  A
+/// controller's local minimum is never below the global one, so every
+/// globally minimal chain is in its controller's output, and the merge
+/// yields exactly what one price_candidate_chains call over the union
+/// emits — the distributed driver's certificate argument rests on this.
 void merge_priced_chains(std::vector<PricedChain>& chains);
 
 /// Steps 2-5 of SOFDA (auxiliary graph, Steiner tree, deployment, walks)
 /// given already-priced candidates in canonical (source, last_vm) order.
+/// Any superset of price_candidate_chains' list in that order (say, every
+/// feasible pair) yields the same forest, steiner_tree_cost and
+/// deployed_chains: a chain above its last VM's minimum never enters the
+/// tree (DESIGN.md §9; tested for all four Steiner algorithms).
 /// `closure` must hold trees for every source and every VM, each exact at
 /// every VM and destination: the drop-fallback re-homing reads last-VM
 /// trees, and pass-through shortening reads the source and VNF-VM trees

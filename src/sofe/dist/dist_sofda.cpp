@@ -40,8 +40,9 @@ DistSofdaResult distributed_sofda_with(const core::Problem& p, const ShardedClos
 
   // --- Per-controller chain pricing against the stitched closure (its
   // rows are already exact, so no per-pair distance queries).  Each
-  // controller reports its candidates — a chain ships its VM sequence plus
-  // its price.
+  // controller prunes against its own sources, so it reports only its
+  // local per-VM minima (ties included) — a chain ships its VM sequence
+  // plus its price.
   std::vector<core::PricedChain> candidates;
   for (int d = 0; d < k; ++d) {
     auto local = core::price_candidate_chains(p, closure, sources_of[static_cast<std::size_t>(d)],
@@ -56,9 +57,10 @@ DistSofdaResult distributed_sofda_with(const core::Problem& p, const ShardedClos
   }
   if (k > 1) bus.end_round();
 
-  // Coordinator-side merge into the canonical (source, last_vm) order: with
-  // disjoint per-domain source sets this reproduces the centralized
-  // candidate list exactly (see core::merge_priced_chains).
+  // Coordinator-side merge: the global per-VM minimum with ties, in the
+  // canonical (source, last_vm) order.  A local minimum is never below the
+  // global one, so with disjoint per-domain source sets this reproduces
+  // the centralized candidate list exactly (see core::merge_priced_chains).
   core::merge_priced_chains(candidates);
 
   // --- The coordinator solves Procedure 3 over the merged candidates and

@@ -14,10 +14,12 @@
 //   3. the coordinator redistributes the stitched pricing view: the shared
 //      VM block to every peer plus each peer's own source rows;
 //   4. each controller prices the candidate chains of the sources it
-//      administers against the stitched closure and reports them to the
-//      coordinator;
-//   5. the coordinator merges the per-controller candidate lists into the
-//      canonical order (core::merge_priced_chains), solves the auxiliary
+//      administers against the stitched closure, pruned to its local
+//      per-VM minima, and reports them to the coordinator (the bus charges
+//      only those chains);
+//   5. the coordinator merges the per-controller candidate lists to the
+//      global per-VM minima in canonical order
+//      (core::merge_priced_chains), solves the auxiliary
 //      Steiner instance (Procedure 3) and broadcasts the selected chains
 //      and distribution segments;
 //   6. controllers install their local rule slices and acknowledge.
@@ -27,7 +29,7 @@
 // administration, not visibility — and charges the bus for every exchange
 // the visibility-restricted protocol performs.  Because the stitched
 // closure is bit-identical to the global one on every hub/destination query
-// (sharded_closure.hpp), the per-controller pricing produces the
+// (sharded_closure.hpp), the merged per-controller pricing is the
 // *identical* candidate list the centralized run prices, so the merged
 // auxiliary graph, the Steiner certificate and the deployed chains match
 // the centralized ones exactly — at any controller count and thread count.

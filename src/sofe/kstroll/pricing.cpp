@@ -26,36 +26,36 @@ void SharedVmBlock::build(const MetricClosure& closure, const std::vector<NodeId
   valid_ = true;
 }
 
-void InstanceAssembler::bind_source(const SharedVmBlock& block, const MetricClosure& closure,
-                                    const std::vector<NodeId>& vms, NodeId s) {
+void InstanceAssembler::bind_block(const SharedVmBlock& block, const std::vector<NodeId>& vms) {
   assert(block.valid() && block.size() == vms.size());
-  assert(std::find(vms.begin(), vms.end(), s) == vms.end() &&
-         "sources inside the VM set use the per-pair builder");
   const std::size_t m = vms.size();
   const std::size_t n = m + 1;
 
-  inst_.source = s;
+  inst_.source = graph::kInvalidNode;
   inst_.last_vm = graph::kInvalidNode;
   inst_.last_index = 0;
-  inst_.nodes.clear();
-  inst_.nodes.reserve(n);
-  inst_.nodes.push_back(s);
-  inst_.nodes.insert(inst_.nodes.end(), vms.begin(), vms.end());
+  inst_.nodes.assign(n, graph::kInvalidNode);
+  std::copy(vms.begin(), vms.end(), inst_.nodes.begin() + 1);
 
   source_row_.assign(n, 0.0);
   inst_.rows.resize(n);
   inst_.rows[0] = source_row_.data();
   for (std::size_t i = 0; i < m; ++i) inst_.rows[i + 1] = block.row(i);
+  base_row_ = nullptr;
+}
 
-  const auto& source_tree = closure.tree(s);
-  base_row_.resize(m);
-  for (std::size_t j = 0; j < m; ++j) base_row_[j] = source_tree.distance(vms[j]);
-  bound_ = true;
+void InstanceAssembler::bind_source(NodeId s, const Cost* base_row) {
+  assert(!inst_.rows.empty() && "bind_block first");
+  assert(std::find(inst_.nodes.begin() + 1, inst_.nodes.end(), s) == inst_.nodes.end() &&
+         "sources inside the VM set use the per-pair builder");
+  inst_.source = s;
+  inst_.nodes[0] = s;
+  base_row_ = base_row;
 }
 
 const StrollInstance& InstanceAssembler::with_last_vm(std::size_t vm_index, NodeId u,
                                                       const std::vector<Cost>& node_cost) {
-  assert(bound_ && "bind_source first");
+  assert(base_row_ != nullptr && "bind_source first");
   assert(vm_index + 1 < inst_.nodes.size() && inst_.nodes[vm_index + 1] == u);
   const std::size_t m = inst_.nodes.size() - 1;
   const Cost cu = node_cost[static_cast<std::size_t>(u)];

@@ -18,10 +18,10 @@
 // online arrival stream that construction dominates SOFDA's wall clock;
 // the classes here assemble instances that read bitwise the same
 // (tested) from a session-cached block: SharedVmBlock is rebuilt only when
-// the session's price key moves, InstanceAssembler
-// points the VM rows straight at it (no per-source copy) and rewrites only
-// the contiguous source row per last VM.  core::PricingSession drives
-// both across arrivals.
+// the session's price key moves, InstanceAssembler points the VM rows
+// straight at it (no per-source copy), binds a source by pointer to its
+// base distances and rewrites only the contiguous source row per last VM.
+// core::PricingSession drives both across arrivals.
 
 #include <vector>
 
@@ -63,39 +63,38 @@ class SharedVmBlock {
 };
 
 /// Per-thread workspace that assembles the StrollInstance for one
-/// (source, last VM) pair over a SharedVmBlock: bind_source() points rows
+/// (source, last VM) pair over a SharedVmBlock: bind_block() points rows
 /// 1..m straight at the block (which stays read-only, shared by every
-/// worker) and reads the source's base distances once, with_last_vm()
-/// rewrites only the contiguous source row and the last index.  Every
-/// entry the solvers read (row 0 in full, rows >= 1 at columns >= 1) is
-/// bitwise equal to
+/// worker), bind_source() is a pointer bind to the source's base
+/// distances, and with_last_vm() rewrites only the contiguous source row
+/// and the last index.  Every entry the solvers read (row 0 in full, rows
+/// >= 1 at columns >= 1) is bitwise equal to
 ///   build_stroll_instance(g, closure, s, vms, u, node_cost, 0.0)
 /// for every u (tested) — preconditions: s ∉ vms and zero source setup
 /// (callers with s ∈ vms or Appendix-D source costs use the per-pair
 /// builder instead).
 class InstanceAssembler {
  public:
-  /// Binds the workspace to source `s`: nodes become [s] + vms, the VM rows
-  /// borrow `block`, and d(s, vms[j]) is read from closure.tree(s).
-  /// `block` must be valid, built over this same `vms`/`closure` state, and
-  /// stay unmodified while the binding is used.
-  void bind_source(const SharedVmBlock& block, const MetricClosure& closure,
-                   const std::vector<NodeId>& vms, NodeId s);
+  /// Binds the workspace to `block`: nodes become [source] + vms and the
+  /// VM rows borrow the block.  `block` must be valid, built over this same
+  /// `vms`, and stay unmodified while the binding is used.
+  void bind_block(const SharedVmBlock& block, const std::vector<NodeId>& vms);
 
-  /// True after bind_source until the next bind_source (diagnostics).
-  bool bound() const noexcept { return bound_; }
+  /// Binds source `s` (after bind_block): `base_row[j]` must be
+  /// closure.tree(s).distance(vms[j]) and stay alive while the binding is
+  /// used.  Nothing is copied.
+  void bind_source(NodeId s, const Cost* base_row);
 
   /// Rewrites the source row for last VM `u` (instance index `vm_index`+1
   /// into the bound vms order) and returns the assembled instance.  The
-  /// reference is invalidated by the next with_last_vm/bind_source call.
+  /// reference is invalidated by the next with_last_vm/bind_* call.
   const StrollInstance& with_last_vm(std::size_t vm_index, NodeId u,
                                      const std::vector<Cost>& node_cost);
 
  private:
-  StrollInstance inst_;           // rows 1..m borrowed from the bound block
-  std::vector<Cost> source_row_;  // row 0: c(s, ·) for the current last VM
-  std::vector<Cost> base_row_;    // d(s, vms[j]), read once per bind
-  bool bound_ = false;
+  StrollInstance inst_;              // rows 1..m borrowed from the bound block
+  std::vector<Cost> source_row_;     // row 0: c(s, ·) for the current last VM
+  const Cost* base_row_ = nullptr;   // d(s, vms[j]), owned by the caller
 };
 
 }  // namespace sofe::kstroll

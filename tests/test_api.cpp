@@ -18,6 +18,7 @@
 #include "sofe/exact/solver.hpp"
 #include "sofe/online/simulator.hpp"
 #include "sofe/topology/topology.hpp"
+#include "pricing_oracle.hpp"
 
 namespace {
 
@@ -457,15 +458,19 @@ TEST(PricingCache, SessionTracksFreeFunctionAcrossArrivalStyleMutations) {
   EXPECT_TRUE(solver->report().pricing_flushed);
 
   // Source churn (drop one, later re-add) at unchanged prices: nothing
-  // flushes, every kept chain is served from cache.
+  // flushes, every chain priced before is served from cache, and exactly
+  // the pairs the departed source used to dominate are priced now.
+  pricing_oracle::SessionTracker tracker;
+  (void)tracker.next(p, /*flushed=*/true);  // what the last solve priced
   auto sources = p.sources;
   p.sources.pop_back();
   EXPECT_TRUE(forests_equal(solver->solve(p), core::sofda(p)));
   EXPECT_FALSE(solver->report().pricing_flushed);
-  EXPECT_EQ(solver->report().pricing_repriced, 0);
+  EXPECT_EQ(solver->report().pricing_repriced, tracker.next(p, false).repriced);
   p.sources = sources;
   EXPECT_TRUE(forests_equal(solver->solve(p), core::sofda(p)));
   EXPECT_FALSE(solver->report().pricing_flushed);
+  EXPECT_EQ(solver->report().pricing_repriced, tracker.next(p, false).repriced);
 
   // A VM setup-cost move (|C| >= 2): the shared terms shift, all chains
   // re-price — and still match.
@@ -512,10 +517,16 @@ TEST(PricingCache, MixedSolveAndSolveEpochStayBitwiseCold) {
   EXPECT_TRUE(solver->report().closure_repaired);
   EXPECT_EQ(solver->report().pricing_repriced, 0);
 
-  // Fewer sources on the epoch side still hit; a VM setup move flushes.
+  // Fewer sources on the epoch side: every chain priced before still
+  // hits, and exactly the pairs the departed source used to dominate are
+  // priced now.  A VM setup move flushes.
+  pricing_oracle::SessionTracker tracker;
+  (void)tracker.next(p, /*flushed=*/true);  // what the last solve priced
   p.sources.pop_back();
   EXPECT_TRUE(forests_equal(solve_epoch(p), core::sofda(p)));
-  EXPECT_EQ(solver->report().pricing_repriced, 0);
+  const int newly_needed = tracker.next(p, false).repriced;
+  EXPECT_EQ(solver->report().pricing_repriced, newly_needed);
+  EXPECT_GT(newly_needed, 0);  // this departure un-dominates pairs
   p.node_cost[static_cast<std::size_t>(p.vms().front())] += 0.5;
   EXPECT_TRUE(forests_equal(solver->solve(p), core::sofda(p)));
   EXPECT_TRUE(solver->report().pricing_flushed);
@@ -528,11 +539,50 @@ TEST(PricingCache, AccumulatorAggregatesPricingTallies) {
   auto solver = make_solver("sofda");
   api::ReportAccumulator acc;
   solver->set_report_sink(&acc);
-  (void)solver->solve(p);  // cold: everything re-prices (one flush)
-  (void)solver->solve(p);  // warm: everything hits
+  (void)solver->solve(p);  // cold: every visited pair re-prices (one flush)
+  (void)solver->solve(p);  // warm: every visited pair hits
   EXPECT_GT(acc.pricing_repriced(), 0u);
   EXPECT_GT(acc.pricing_hits(), 0u);
   EXPECT_EQ(acc.pricing_flushes(), 1u);
+  EXPECT_EQ(acc.pricing_hits() + acc.pricing_repriced() + acc.pricing_pruned(),
+            2u * static_cast<std::size_t>(pricing_oracle::pair_count(p)));
+}
+
+TEST(PricingCache, TalliesConserveTheEligiblePairs) {
+  // hits + repriced + pruned == every eligible (source, last VM) pair, per
+  // solve, across flushes, hits and source churn on Cogent — and the
+  // pruning has work to do there.
+  const auto topo = topology::cogent();
+  topology::ProblemConfig cfg;
+  cfg.seed = 29;
+  cfg.num_vms = 30;
+  cfg.num_sources = 8;
+  auto p = topology::make_problem(topo, cfg);
+  auto solver = make_solver("sofda");
+  api::ReportAccumulator acc;
+  solver->set_report_sink(&acc);
+  pricing_oracle::SessionTracker tracker;
+  std::size_t eligible = 0;
+  const auto solve_and_check = [&](const char* step) {
+    SCOPED_TRACE(step);
+    EXPECT_TRUE(forests_equal(solver->solve(p), core::sofda(p)));
+    const api::SolveReport& r = solver->report();
+    const auto expect = tracker.next(p, r.pricing_flushed);
+    EXPECT_EQ(r.pricing_hits, expect.hits);
+    EXPECT_EQ(r.pricing_repriced, expect.repriced);
+    EXPECT_EQ(r.pricing_pruned, expect.pruned);
+    EXPECT_EQ(r.pricing_hits + r.pricing_repriced + r.pricing_pruned,
+              pricing_oracle::pair_count(p));
+    EXPECT_GT(r.pricing_pruned, 0);
+    eligible += static_cast<std::size_t>(pricing_oracle::pair_count(p));
+  };
+  solve_and_check("cold");
+  solve_and_check("warm");
+  p.network.set_edge_cost(7, p.network.edge(7).cost * 1.5 + 1.0);
+  solve_and_check("link price moved");
+  p.sources.erase(p.sources.begin(), p.sources.begin() + 3);
+  solve_and_check("three sources left");
+  EXPECT_EQ(acc.pricing_hits() + acc.pricing_repriced() + acc.pricing_pruned(), eligible);
 }
 
 TEST(OnlineSession, SimulateWithSolverMatchesEmbedFnBitForBit) {

@@ -1,6 +1,7 @@
 // Multi-controller tests (Section VI): partition sanity, sharded-closure
 // exactness (stitched rows == the global closure, bitwise), message
-// accounting, and distributed-vs-centralized SOFDA equivalence.
+// accounting, and distributed-vs-centralized SOFDA equivalence, down to
+// the merged candidate list.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "sofe/dist/sharded_closure.hpp"
 #include "sofe/graph/metric_closure.hpp"
 #include "sofe/topology/topology.hpp"
+#include "pricing_oracle.hpp"
 
 namespace sofe::dist {
 namespace {
@@ -476,6 +478,57 @@ TEST(DistributedSofda, CertificateBitwiseIdenticalAcrossKAndThreads) {
       EXPECT_GT(dist_r.payload_bytes, 0u);
     }
   }
+}
+
+TEST(DistributedSofda, MergedCandidatesEqualCentralizedExactly) {
+  // Each controller prunes against its own sources only, so its list holds
+  // its local per-VM minima; the coordinator's merge keeps the global
+  // minima with ties.  The merged list must be the centralized one chain
+  // for chain, bounded and unbounded, and the bus charges only the locally
+  // pruned chains.
+  topology::ProblemConfig cfg;
+  cfg.num_vms = 10;
+  cfg.num_sources = 8;
+  cfg.num_destinations = 4;
+  cfg.chain_length = 2;
+  cfg.seed = 41;
+  const auto p = topology::make_problem(topology::softlayer(), cfg);
+  const graph::MetricClosure global(p.network, hub_set(p));
+  const auto central = core::price_candidate_chains(p, global, p.sources);
+  ASSERT_TRUE(pricing_oracle::chains_equal(
+      central, pricing_oracle::minimum_chains(pricing_oracle::reference_chains(p, global))));
+  core::SofdaStats central_stats;
+  const auto central_forest = core::sofda_from_candidates(p, global, central, {}, &central_stats);
+
+  std::size_t filtered_by_merge = 0;
+  for (int k : {2, 4}) {
+    for (bool bounded : {false, true}) {
+      SCOPED_TRACE("k " + std::to_string(k) + (bounded ? ", bounded" : ", unbounded"));
+      MessageBus bus;
+      ShardedClosure sc;
+      sc.build(p.network, partition_bfs(p.network, k), hub_set(p), p.destinations, 1, bus,
+               bounded);
+      std::vector<core::PricedChain> merged;
+      for (int d = 0; d < k; ++d) {
+        std::vector<NodeId> mine;
+        for (NodeId s : p.sources) {
+          if (sc.partition().domain(s) == d) mine.push_back(s);
+        }
+        const auto local = core::price_candidate_chains(p, sc.closure(), mine);
+        merged.insert(merged.end(), local.begin(), local.end());
+      }
+      const std::size_t shipped = merged.size();
+      core::merge_priced_chains(merged);
+      EXPECT_TRUE(pricing_oracle::chains_equal(merged, central));
+      filtered_by_merge += shipped - merged.size();
+
+      const auto r = distributed_sofda_with(p, sc, bus);
+      EXPECT_EQ(r.stats.candidate_chains, static_cast<int>(central.size()));
+      EXPECT_EQ(r.stats.steiner_tree_cost, central_stats.steiner_tree_cost);
+      EXPECT_TRUE(pricing_oracle::forests_equal(r.forest, central_forest));
+    }
+  }
+  EXPECT_GT(filtered_by_merge, 0u) << "some local minimum must lose to another domain's";
 }
 
 }  // namespace

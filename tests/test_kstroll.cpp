@@ -2,16 +2,22 @@
 // Lemma-1 triangle inequality), heuristic vs exact-DP quality, the
 // Appendix-D source-cost variant, and the price-keyed pricing session
 // (DESIGN.md §9): shared-block instance assembly bitwise vs the per-pair
-// builder, and PricingSession output bitwise vs the per-pair reference
-// oracle with exact hit/reprice tallies across a mutation sequence (hub
-// set, edge costs incl. the equal-cost parent-flip gadgets, node costs,
-// source setup, VM set) and thread counts; and the row-scan solver kernel
-// bitwise against a frozen copy of the matrix-scan solver it replaced.
+// builder, and PricingSession output bitwise vs the dominance oracle (the
+// per-pair reference filtered to each last VM's minimum, ties included)
+// with exact hit/reprice/prune tallies across a mutation sequence (hub
+// set, source departures, edge costs incl. the equal-cost parent-flip
+// gadgets, node costs, source setup, VM set) and thread counts; dominance
+// gadgets (ties, a bound rounding above a tie, Appendix-D costs, sources
+// in the VM set, unreachable VMs and +inf links) with SOFDA's forest
+// unchanged by the pruning for all four Steiner algorithms; and the
+// row-scan solver kernel bitwise against a frozen copy of the matrix-scan
+// solver it replaced.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 
@@ -21,10 +27,14 @@
 #include "sofe/kstroll/instance.hpp"
 #include "sofe/kstroll/pricing.hpp"
 #include "sofe/kstroll/solver.hpp"
+#include "sofe/steiner/steiner.hpp"
 #include "sofe/util/rng.hpp"
+#include "pricing_oracle.hpp"
 
 namespace sofe::kstroll {
 namespace {
+
+using namespace sofe::pricing_oracle;
 
 struct Fixture {
   Graph g;
@@ -68,6 +78,13 @@ graph::MetricClosure closure_for(const Fixture& f) {
   std::vector<NodeId> hubs = f.vms;
   hubs.push_back(f.source);
   return graph::MetricClosure(f.g, hubs);
+}
+
+/// The source's base distances d(s, vms[j]), as InstanceAssembler binds them.
+std::vector<Cost> base_row(const graph::MetricClosure& mc, const Fixture& f) {
+  std::vector<Cost> row;
+  for (NodeId v : f.vms) row.push_back(mc.tree(f.source).distance(v));
+  return row;
 }
 
 TEST(StrollInstance, EdgeCostSharingMainModel) {
@@ -233,7 +250,9 @@ TEST(SharedInstanceAssembly, BitwiseEqualToPerPairBuilder) {
   SharedVmBlock block;
   block.build(mc, f.vms, f.node_cost);
   InstanceAssembler assembler;
-  assembler.bind_source(block, mc, f.vms, f.source);
+  const std::vector<Cost> base = base_row(mc, f);
+  assembler.bind_block(block, f.vms);
+  assembler.bind_source(f.source, base.data());
 
   for (std::size_t j = 0; j < f.vms.size(); ++j) {
     const NodeId u = f.vms[j];
@@ -265,65 +284,25 @@ core::Problem problem_for(const Fixture& f, std::vector<NodeId> sources, int cha
   return p;
 }
 
-graph::MetricClosure closure_for_problem(const core::Problem& p) {
-  std::vector<NodeId> hubs = p.vms();
-  hubs.insert(hubs.end(), p.sources.begin(), p.sources.end());
-  return graph::MetricClosure(p.network, hubs);
-}
-
-bool chains_equal(const std::vector<core::PricedChain>& a,
-                  const std::vector<core::PricedChain>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].source != b[i].source || a[i].last_vm != b[i].last_vm ||
-        a[i].plan.nodes != b[i].plan.nodes || a[i].plan.vnf_pos != b[i].plan.vnf_pos ||
-        a[i].plan.cost != b[i].plan.cost) {  // bitwise: == on doubles
-      return false;
-    }
-  }
-  return true;
-}
-
-/// The per-pair reference oracle: every (source, last VM) chain priced by
-/// its own build_stroll_instance through plan_chain_walk, sources
-/// ascending — the pricing loop the shared-block assembly replaced.
-std::vector<core::PricedChain> reference_chains(const core::Problem& p,
-                                                const graph::MetricClosure& closure,
-                                                const core::AlgoOptions& opt = {}) {
-  const std::vector<NodeId> vms = p.vms();
-  std::vector<core::PricedChain> out;
-  for (NodeId s : core::sorted_unique(p.sources)) {
-    for (NodeId u : vms) {
-      if (u == s) continue;
-      core::ChainPlan plan = core::plan_chain_walk(p, closure, s, vms, u, opt);
-      if (plan.feasible()) out.push_back(core::PricedChain{s, u, std::move(plan)});
-    }
-  }
-  return out;
-}
-
-/// (source, last VM) pairs a price() call over `p` visits.
-int pair_count(const core::Problem& p) {
-  const std::vector<NodeId> vms = p.vms();
-  int n = 0;
-  for (NodeId s : core::sorted_unique(p.sources)) {
-    for (NodeId u : vms) n += u != s ? 1 : 0;
-  }
-  return n;
-}
-
 /// One price() call on the session against `mc`, checked bitwise against
-/// the reference oracle on a cold closure, with exact tallies: every pair
-/// hits (`hit`) or every pair re-prices after a flush (!`hit`).
-void expect_priced(core::PricingSession& session, const core::Problem& p,
-                   const graph::MetricClosure& mc, bool hit, const std::string& step) {
+/// the dominance oracle on a cold closure, with exact tallies from the
+/// tracker: `hit` says whether the price key held; a visited pair hits
+/// exactly when the session priced it under the key before, and every
+/// unvisited eligible pair is pruned.
+core::PricingTally expect_priced(core::PricingSession& session, SessionTracker& tracker,
+                                 const core::Problem& p, const graph::MetricClosure& mc, bool hit,
+                                 const std::string& step) {
   SCOPED_TRACE(step);
   core::PricingTally tally;
   const auto got = session.price(p, mc, p.sources, {}, {}, 1, &tally);
-  EXPECT_TRUE(chains_equal(got, reference_chains(p, closure_for_problem(p))));
+  EXPECT_TRUE(chains_equal(got, minimum_chains(reference_chains(p, closure_for_problem(p)))));
+  const auto expect = tracker.next(p, /*flushed=*/!hit);
   EXPECT_EQ(tally.flushed, !hit);
-  EXPECT_EQ(tally.hits, hit ? pair_count(p) : 0);
-  EXPECT_EQ(tally.repriced, hit ? 0 : pair_count(p));
+  EXPECT_EQ(tally.repriced, expect.repriced);
+  EXPECT_EQ(tally.hits, expect.hits);
+  EXPECT_EQ(tally.pruned, expect.pruned);
+  EXPECT_EQ(tally.hits + tally.repriced + tally.pruned, pair_count(p));
+  return tally;
 }
 
 TEST(PricingSession, OneShotFreeFunctionMatchesThePerPairOracle) {
@@ -331,32 +310,54 @@ TEST(PricingSession, OneShotFreeFunctionMatchesThePerPairOracle) {
     Fixture f = random_fixture(7117, 26, 8);
     const auto p = problem_for(f, {0, 5}, chain_length);
     const auto mc = closure_for_problem(p);
-    const auto expect = reference_chains(p, mc);
+    const auto all = reference_chains(p, mc);
+    const auto expect = minimum_chains(all);
     ASSERT_FALSE(expect.empty());
+    ASSERT_LT(expect.size(), all.size());  // the pruning has work to do
     EXPECT_TRUE(chains_equal(core::price_candidate_chains(p, mc, p.sources), expect));
     EXPECT_TRUE(chains_equal(core::price_candidate_chains(p, mc, p.sources, {}, 4), expect));
   }
 }
 
 /// The price-key soundness sequence (DESIGN.md §9): at every step the
-/// session's output is bitwise the per-pair oracle's on a cold closure,
-/// and the tallies say exactly whether the key held.
+/// session's output is bitwise the dominance oracle's on a cold closure,
+/// and the tallies say exactly which pairs hit, re-priced or were pruned.
 TEST(PricingSession, PriceKeySoundnessAcrossMutationSequence) {
   Fixture f = random_fixture(5150, 30, 9);
   auto p = problem_for(f, {0, 7, 11}, 3);
   auto mc = closure_for_problem(p);
   core::PricingSession session;
-  expect_priced(session, p, mc, /*hit=*/false, "cold");
-  expect_priced(session, p, mc, /*hit=*/true, "unchanged");
+  SessionTracker tracker;
+  expect_priced(session, tracker, p, mc, /*hit=*/false, "cold");
+  expect_priced(session, tracker, p, mc, /*hit=*/true, "unchanged");
+
+  // The source that wins the most last VMs leaves at unchanged prices: the
+  // key holds, and the pairs it dominated are priced now — exactly the
+  // oracle's newly visited ones.  Its return prices nothing.
+  {
+    std::map<NodeId, int> wins;
+    for (const auto& c : minimum_chains(reference_chains(p, mc))) ++wins[c.source];
+    const NodeId top =
+        std::max_element(wins.begin(), wins.end(),
+                         [](const auto& a, const auto& b) { return a.second < b.second; })
+            ->first;
+    const std::vector<NodeId> all_sources = p.sources;
+    std::erase(p.sources, top);
+    EXPECT_GT(
+        expect_priced(session, tracker, p, mc, /*hit=*/true, "dominating source left").repriced,
+        0);
+    p.sources = all_sources;
+    EXPECT_EQ(expect_priced(session, tracker, p, mc, /*hit=*/true, "source back").repriced, 0);
+  }
 
   // Same prices, grown then shrunk hub set (the warm-up case): rows are a
   // function of (graph, hub), so every chain hits.
   mc.extend(p.network, {3, 17, 23});
-  expect_priced(session, p, mc, /*hit=*/true, "grown hub set");
+  expect_priced(session, tracker, p, mc, /*hit=*/true, "grown hub set");
   std::vector<NodeId> needed = p.vms();
   needed.insert(needed.end(), p.sources.begin(), p.sources.end());
   mc.retain(needed);
-  expect_priced(session, p, mc, /*hit=*/true, "shrunk hub set");
+  expect_priced(session, tracker, p, mc, /*hit=*/true, "shrunk hub set");
 
   // Edge-cost-only changes, served by a repaired closure: flush.
   std::vector<graph::EdgeCostDelta> deltas;
@@ -366,8 +367,8 @@ TEST(PricingSession, PriceKeySoundnessAcrossMutationSequence) {
     deltas.push_back({e, old_cost, p.network.edge(e).cost});
   }
   mc.refresh(p.network, deltas);
-  expect_priced(session, p, mc, /*hit=*/false, "edge costs");
-  expect_priced(session, p, mc, /*hit=*/true, "edge costs, repeated");
+  expect_priced(session, tracker, p, mc, /*hit=*/false, "edge costs");
+  expect_priced(session, tracker, p, mc, /*hit=*/true, "edge costs, repeated");
 
   // A departure restores exactly what was charged: the key moves back,
   // which is a flush too (the cache holds one price point).
@@ -376,24 +377,24 @@ TEST(PricingSession, PriceKeySoundnessAcrossMutationSequence) {
     std::swap(d.old_cost, d.new_cost);
   }
   mc.refresh(p.network, deltas);
-  expect_priced(session, p, mc, /*hit=*/false, "edge costs restored");
+  expect_priced(session, tracker, p, mc, /*hit=*/false, "edge costs restored");
 
   // Node-cost-only changes at |C| >= 2 and at |C| = 1.
   p.node_cost[static_cast<std::size_t>(f.vms[2])] += 1.5;
-  expect_priced(session, p, mc, /*hit=*/false, "node cost, |C| = 3");
+  expect_priced(session, tracker, p, mc, /*hit=*/false, "node cost, |C| = 3");
   p.chain_length = 1;
-  expect_priced(session, p, mc, /*hit=*/false, "chain length");
+  expect_priced(session, tracker, p, mc, /*hit=*/false, "chain length");
   p.node_cost[static_cast<std::size_t>(f.vms[4])] += 0.75;
-  expect_priced(session, p, mc, /*hit=*/false, "node cost, |C| = 1");
-  expect_priced(session, p, mc, /*hit=*/true, "node cost, |C| = 1, repeated");
+  expect_priced(session, tracker, p, mc, /*hit=*/false, "node cost, |C| = 1");
+  expect_priced(session, tracker, p, mc, /*hit=*/true, "node cost, |C| = 1, repeated");
   p.chain_length = 3;
-  expect_priced(session, p, mc, /*hit=*/false, "chain length back");
+  expect_priced(session, tracker, p, mc, /*hit=*/false, "chain length back");
 
   // Source setup costs (Appendix D) and the VM set: every chain re-prices.
   p.source_setup_cost.assign(static_cast<std::size_t>(p.network.node_count()), 0.0);
   p.source_setup_cost[7] = 2.5;
-  expect_priced(session, p, mc, /*hit=*/false, "source setup");
-  expect_priced(session, p, mc, /*hit=*/true, "source setup, repeated");
+  expect_priced(session, tracker, p, mc, /*hit=*/false, "source setup");
+  expect_priced(session, tracker, p, mc, /*hit=*/true, "source setup, repeated");
   NodeId fresh_vm = 1;
   while (p.is_vm[static_cast<std::size_t>(fresh_vm)] || fresh_vm == 7 || fresh_vm == 11) {
     ++fresh_vm;
@@ -401,7 +402,7 @@ TEST(PricingSession, PriceKeySoundnessAcrossMutationSequence) {
   p.is_vm[static_cast<std::size_t>(fresh_vm)] = 1;
   p.node_cost[static_cast<std::size_t>(fresh_vm)] = 3.0;
   mc.extend(p.network, {fresh_vm});
-  expect_priced(session, p, mc, /*hit=*/false, "VM set");
+  expect_priced(session, tracker, p, mc, /*hit=*/false, "VM set");
 }
 
 /// The two equal-cost parent-flip gadgets, as price-key steps: repricing
@@ -427,7 +428,8 @@ TEST(PricingSession, PriceKeySoundnessOnEqualCostParentFlips) {
     p.chain_length = 1;
     auto mc = closure_for_problem(p);
     core::PricingSession session;
-    expect_priced(session, p, mc, /*hit=*/false, "gadget 1, cold");
+    SessionTracker tracker;
+    expect_priced(session, tracker, p, mc, /*hit=*/false, "gadget 1, cold");
     EXPECT_EQ(session.price(p, mc, p.sources, {}, {})[0].plan.nodes,
               (std::vector<NodeId>{0, 1, 3}));
 
@@ -436,7 +438,7 @@ TEST(PricingSession, PriceKeySoundnessOnEqualCostParentFlips) {
     mc.refresh(p.network, deltas);
     EXPECT_EQ(mc.tree(0).distance(3), 2.0);  // the trap: dists unchanged...
     EXPECT_EQ(mc.tree(0).parent[3], 2);      // ...but t now hangs off b
-    expect_priced(session, p, mc, /*hit=*/false, "gadget 1, flipped");
+    expect_priced(session, tracker, p, mc, /*hit=*/false, "gadget 1, flipped");
     EXPECT_EQ(session.price(p, mc, p.sources, {}, {})[0].plan.nodes,
               (std::vector<NodeId>{0, 2, 3}));
   }
@@ -458,7 +460,8 @@ TEST(PricingSession, PriceKeySoundnessOnEqualCostParentFlips) {
     p.chain_length = 2;
     auto mc = closure_for_problem(p);
     core::PricingSession session;
-    expect_priced(session, p, mc, /*hit=*/false, "gadget 2, cold");
+    SessionTracker tracker;
+    expect_priced(session, tracker, p, mc, /*hit=*/false, "gadget 2, cold");
     EXPECT_EQ(session.price(p, mc, p.sources, {}, {})[0].plan.nodes[1], 1);
 
     const std::vector<graph::EdgeCostDelta> deltas{{e_sa, 1.0, 5.0}};
@@ -467,7 +470,7 @@ TEST(PricingSession, PriceKeySoundnessOnEqualCostParentFlips) {
     EXPECT_EQ(mc.tree(0).distance(3), 2.0);  // every hub-pair distance survived
     EXPECT_EQ(mc.tree(0).distance(4), 3.0);
     EXPECT_EQ(mc.tree(0).parent[1], 2);      // a re-parented
-    expect_priced(session, p, mc, /*hit=*/false, "gadget 2, flipped");
+    expect_priced(session, tracker, p, mc, /*hit=*/false, "gadget 2, flipped");
     EXPECT_EQ(session.price(p, mc, p.sources, {}, {})[0].plan.nodes[1], 2);
   }
 }
@@ -478,19 +481,27 @@ TEST(PricingSession, BitIdenticalAcrossThreadCounts) {
   auto mc = closure_for_problem(p);
 
   // Three identically-driven sessions, priced at 1 / 2 / 8 workers, across
-  // a cold call, a repaired-closure flush and a hit: bit for bit.
+  // a cold call, a repaired-closure flush, a hit and a source departure:
+  // output and tallies bit for bit.
   std::vector<std::unique_ptr<core::PricingSession>> sessions;
   for (int i = 0; i < 3; ++i) sessions.push_back(std::make_unique<core::PricingSession>());
   const int threads[] = {1, 2, 8};
   const auto price_all = [&](const std::string& step) {
     SCOPED_TRACE(step);
     std::vector<std::vector<core::PricedChain>> out(3);
+    std::vector<core::PricingTally> tallies(3);
     for (std::size_t i = 0; i < 3; ++i) {
-      out[i] = sessions[i]->price(p, mc, p.sources, {}, {}, threads[i]);
+      out[i] = sessions[i]->price(p, mc, p.sources, {}, {}, threads[i], &tallies[i]);
     }
-    EXPECT_TRUE(chains_equal(out[0], out[1]));
-    EXPECT_TRUE(chains_equal(out[0], out[2]));
-    EXPECT_TRUE(chains_equal(out[0], reference_chains(p, closure_for_problem(p))));
+    for (std::size_t i = 1; i < 3; ++i) {
+      EXPECT_TRUE(chains_equal(out[0], out[i]));
+      EXPECT_EQ(tallies[0].hits, tallies[i].hits);
+      EXPECT_EQ(tallies[0].repriced, tallies[i].repriced);
+      EXPECT_EQ(tallies[0].pruned, tallies[i].pruned);
+      EXPECT_EQ(tallies[0].flushed, tallies[i].flushed);
+    }
+    EXPECT_TRUE(chains_equal(out[0], minimum_chains(reference_chains(p, closure_for_problem(p)))));
+    EXPECT_GT(tallies[0].pruned, 0);
   };
   price_all("cold");
 
@@ -503,6 +514,8 @@ TEST(PricingSession, BitIdenticalAcrossThreadCounts) {
   mc.refresh(p.network, deltas);
   price_all("repaired");
   price_all("hit");
+  p.sources = {4, 12, 16};
+  price_all("sources left");
 }
 
 TEST(PricingSession, FewerReachableVmsThanTheChainIsInfeasible) {
@@ -523,7 +536,8 @@ TEST(PricingSession, FewerReachableVmsThanTheChainIsInfeasible) {
   core::PricingTally tally;
   const auto got = session.price(p, mc, p.sources, {}, {}, 1, &tally);
   EXPECT_TRUE(got.empty());
-  EXPECT_EQ(tally.repriced, 3);
+  EXPECT_EQ(tally.repriced, 3);  // no feasible chain: no bound can prune
+  EXPECT_EQ(tally.pruned, 0);
   EXPECT_TRUE(reference_chains(p, mc).empty());
 }
 
@@ -663,9 +677,11 @@ void expect_kernel_matches_oracle(const Fixture& f, Cost source_setup, std::uint
   const bool assembled = source_setup == 0.0;
   SharedVmBlock block;
   InstanceAssembler assembler;
+  const std::vector<Cost> base = base_row(mc, f);
   if (assembled) {
     block.build(mc, f.vms, f.node_cost);
-    assembler.bind_source(block, mc, f.vms, f.source);
+    assembler.bind_block(block, f.vms);
+    assembler.bind_source(f.source, base.data());
   }
   util::Rng rng(seed);
   for (std::size_t j = 0; j < f.vms.size(); ++j) {
@@ -783,6 +799,175 @@ TEST(RowScanKernel, BitwiseEqualToMatrixScanOracleWithAppendixDSourceCosts) {
     const Fixture f = random_fixture(static_cast<std::uint64_t>(seed) * 337 + 19, 18, 8);
     expect_kernel_matches_oracle(f, 2.5 * seed, static_cast<std::uint64_t>(seed) + 300);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Dominance pricing gadgets (DESIGN.md §9): each one is priced cold at 1
+// and 4 workers against the dominance oracle with exact tallies, and SOFDA
+// over the pruned list must give bitwise the forest, Steiner certificate
+// and deployed chains of SOFDA over every feasible chain, for all four
+// Steiner algorithms.
+
+/// Checks one gadget; returns the pruned candidate list.
+std::vector<core::PricedChain> expect_dominance(const core::Problem& p) {
+  const auto mc = closure_for_problem(p);
+  const auto all = reference_chains(p, mc);
+  const auto expect = minimum_chains(all);
+  std::vector<core::PricedChain> got;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    core::PricingSession session;
+    SessionTracker tracker;
+    const auto tally = expect_priced(session, tracker, p, mc, /*hit=*/false, "cold");
+    got = session.price(p, mc, p.sources, {}, {}, threads);
+    EXPECT_TRUE(chains_equal(got, expect));
+    EXPECT_EQ(tally.repriced + tally.pruned, pair_count(p));
+  }
+  for (const auto algo : {steiner::Algorithm::kKmb, steiner::Algorithm::kMehlhorn,
+                          steiner::Algorithm::kTakahashiMatsuyama,
+                          steiner::Algorithm::kDreyfusWagner}) {
+    SCOPED_TRACE("steiner algorithm " + std::to_string(static_cast<int>(algo)));
+    core::AlgoOptions opt;
+    opt.steiner = algo;
+    core::SofdaStats full_stats, pruned_stats;
+    const auto full = core::sofda_from_candidates(p, mc, all, opt, &full_stats);
+    const auto pruned = core::sofda_from_candidates(p, mc, expect, opt, &pruned_stats);
+    EXPECT_TRUE(forests_equal(full, pruned));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(full_stats.steiner_tree_cost),
+              std::bit_cast<std::uint64_t>(pruned_stats.steiner_tree_cost));
+    EXPECT_EQ(full_stats.deployed_chains, pruned_stats.deployed_chains);
+  }
+  return got;
+}
+
+/// Number of last VMs whose minimum is attained by two or more sources.
+int tied_last_vms(const std::vector<core::PricedChain>& chains) {
+  std::map<NodeId, int> per_vm;
+  for (const auto& c : chains) ++per_vm[c.last_vm];
+  return static_cast<int>(std::count_if(per_vm.begin(), per_vm.end(),
+                                        [](const auto& kv) { return kv.second > 1; }));
+}
+
+TEST(DominancePricing, RandomInstancesAcrossChainLengths) {
+  for (int seed = 1; seed <= 6; ++seed) {
+    for (const int chain_length : {1, 2, 4}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", |C| " + std::to_string(chain_length));
+      Fixture f = random_fixture(static_cast<std::uint64_t>(seed) * 4241 + 17, 28, 9);
+      auto p = problem_for(f, {0, 3, 13, 21, 27}, chain_length);
+      p.destinations = {f.vms[0], f.vms[4], 6, 19};
+      std::erase(p.sources, f.vms[0]);  // keep sources off the VM set here
+      expect_dominance(p);
+    }
+  }
+}
+
+TEST(DominancePricing, TieHeavyIntegerCostsKeepEveryTie) {
+  // Integer links and VM costs: equal chain costs everywhere, so many last
+  // VMs have a minimum attained by several sources, and all of them stay.
+  int ties = 0;
+  for (int seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Fixture f = tie_heavy_fixture(static_cast<std::uint64_t>(seed) * 7561 + 5, 22, 8);
+    std::vector<NodeId> sources;
+    for (NodeId v = 0; v < 22 && sources.size() < 6; ++v) {
+      if (std::find(f.vms.begin(), f.vms.end(), v) == f.vms.end()) sources.push_back(v);
+    }
+    auto p = problem_for(f, sources, 1 + seed % 3);
+    p.destinations = {f.vms[1], 21, 11};
+    ties += tied_last_vms(expect_dominance(p));
+  }
+  EXPECT_GT(ties, 0) << "the gadget must produce tied minima";
+}
+
+TEST(DominancePricing, RoundingGadgetKeepsATieWhoseBoundRoundsAbove) {
+  // |C| = 1, one VM u = 3 (c(u) = 0.1).  s1 = 0 reaches u over one link
+  // of cost e, s2 = 1 over s2 - a - u (0.1, then 1.0):
+  //   c(s1, u) = c(u) + e           = 1.2
+  //   c(s2, u) = (c(u) + 0.1) + 1.0 = 1.2           (the same double)
+  //   LB(s2, u) = (0.1 + 1.0) + c(u) = 1.2000000000000002
+  // Without the relative slack s2's bound would clear the tie and drop it.
+  const Cost e = 1.2 - 0.1;
+  core::Problem p;
+  p.network = Graph(5);
+  p.network.add_edge(0, 3, e);
+  p.network.add_edge(1, 2, 0.1);
+  p.network.add_edge(2, 3, 1.0);
+  p.network.add_edge(3, 4, 1.0);
+  p.node_cost = {0.0, 0.0, 0.0, 0.1, 0.0};
+  p.is_vm = {0, 0, 0, 1, 0};
+  p.sources = {0, 1};
+  p.destinations = {4};
+  p.chain_length = 1;
+  const auto mc = closure_for_problem(p);
+  const Cost c1 = core::plan_chain_walk(p, mc, 0, p.vms(), 3).cost;
+  const Cost c2 = core::plan_chain_walk(p, mc, 1, p.vms(), 3).cost;
+  ASSERT_EQ(c1, c2);                        // a tie, bitwise
+  ASSERT_EQ(lower_bound(p, mc, 0, 3), c1);  // s1 is visited first...
+  ASSERT_GT(lower_bound(p, mc, 1, 3), c2);  // ...and s2's bound rounds above
+  const auto got = expect_dominance(p);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[1].source, 1);
+}
+
+TEST(DominancePricing, AppendixDSourceCosts) {
+  for (int seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Fixture f = random_fixture(static_cast<std::uint64_t>(seed) * 919 + 29, 26, 8);
+    auto p = problem_for(f, {0, 9, 17, 25}, 2);
+    std::erase_if(p.sources, [&](NodeId s) { return p.is_vm[static_cast<std::size_t>(s)] != 0; });
+    p.destinations = {f.vms[2], 14};
+    p.source_setup_cost.assign(26, 0.0);
+    for (NodeId s : p.sources) p.source_setup_cost[static_cast<std::size_t>(s)] = 0.5 * seed * s;
+    p.source_setup_cost[0] = 0.0;  // one source on the shared-block path
+    expect_dominance(p);
+  }
+}
+
+TEST(DominancePricing, SourcesInsideTheVmSet) {
+  for (int seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Fixture f = random_fixture(static_cast<std::uint64_t>(seed) * 353 + 41, 24, 9);
+    // Two sources are VMs (the per-pair builder prices them, and their own
+    // VM is no last VM of theirs); one is not.
+    auto p = problem_for(f, {0, f.vms[1], f.vms[5]}, 1 + seed % 3);
+    p.destinations = {f.vms[3], 12};
+    expect_dominance(p);
+  }
+}
+
+TEST(DominancePricing, UnreachableVmsAndInfiniteLinks) {
+  for (int seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Fixture f = fixture_with_island(static_cast<std::uint64_t>(seed) * 613 + 7, 16, 5, 2);
+    auto p = problem_for(f, {0, 7, 11}, 2);
+    std::erase_if(p.sources, [&](NodeId s) { return p.is_vm[static_cast<std::size_t>(s)] != 0; });
+    p.destinations = {f.vms[0], 3};
+    for (core::EdgeId e : {2, 5}) p.network.set_edge_cost(e, graph::kInfiniteCost);
+    expect_dominance(p);
+  }
+}
+
+TEST(DominancePricing, FewerReachableVmsThanTheChainForSomeSources) {
+  // Component A: source 0 and VM 1.  Component B: source 5, VMs 2, 3, 4 and
+  // destination 6.  |C| = 3: source 0 has no feasible chain; source 5's
+  // bound into VM 1 is +inf, so with no feasible chain into VM 1 nothing
+  // prunes there, while source 0's +inf bounds into B are pruned.
+  Fixture f{Graph(7), {0.0, 2.0, 3.0, 1.0, 4.0, 0.0, 0.0}, {1, 2, 3, 4}, 0};
+  f.g.add_edge(0, 1, 1.0);
+  f.g.add_edge(5, 2, 1.0);
+  f.g.add_edge(2, 3, 2.0);
+  f.g.add_edge(3, 4, 1.0);
+  f.g.add_edge(5, 4, 2.5);
+  f.g.add_edge(4, 6, 1.0);
+  auto p = problem_for(f, {0, 5}, 3);
+  p.destinations = {6};
+  const auto got = expect_dominance(p);
+  ASSERT_FALSE(got.empty());
+  for (const auto& c : got) EXPECT_EQ(c.source, 5);
+  core::PricingSession session;
+  core::PricingTally tally;
+  (void)session.price(p, closure_for_problem(p), p.sources, {}, {}, 1, &tally);
+  EXPECT_EQ(tally.pruned, 3);  // (0, 2), (0, 3), (0, 4)
 }
 
 }  // namespace

@@ -1,14 +1,21 @@
 // SOFDA (Algorithm 2) tests: feasibility across instance shapes, multi-tree
 // advantage (the paper's Fig. 1 motivation), the 3ρST envelope against the
-// exact solver, and the Lemma-2 Steiner-certificate bound.
+// exact solver, the Lemma-2 Steiner-certificate bound, and dominance
+// pricing's soundness: Ĝ over each last VM's cheapest chains gives the
+// forest Ĝ over every feasible chain gives, for all four Steiner
+// algorithms.
 
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
 
 #include "sofe/core/sofda.hpp"
 #include "sofe/core/sofda_ss.hpp"
 #include "sofe/core/validate.hpp"
 #include "sofe/exact/solver.hpp"
 #include "sofe/util/rng.hpp"
+#include "pricing_oracle.hpp"
 
 namespace sofe::core {
 namespace {
@@ -232,6 +239,45 @@ TEST(Sofda, MoreSourcesNeverHurtMuch) {
   EXPECT_TRUE(is_feasible(p2, f2));
   EXPECT_LE(total_cost(p2, f2), 1.5 * total_cost(p, f1) + 1e-9);
 }
+
+class DominancePruning : public ::testing::TestWithParam<int> {};
+
+TEST_P(DominancePruning, SameForestForEverySteinerAlgorithm) {
+  // sofda_from_candidates over every feasible chain and over the pruned
+  // list: bitwise the same forest, Steiner certificate and deployed
+  // chains.  Dreyfus-Wagner runs on the smaller terminal sets.
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  util::Rng shape(seed * 7129);
+  const int n = shape.uniform_int(24, 40);  // >= m + srcs + dests
+  const int m = shape.uniform_int(4, 9);
+  const int srcs = shape.uniform_int(2, 6);
+  const int dests = shape.uniform_int(2, 7);
+  const int chain = shape.uniform_int(1, std::min(4, m));
+  const Problem p = random_problem(seed * 2719 + 11, n, m, srcs, dests, chain);
+  const auto closure = pricing_oracle::closure_for_problem(p);
+  const auto all = pricing_oracle::reference_chains(p, closure);
+  const auto pruned = price_candidate_chains(p, closure, p.sources);
+  EXPECT_TRUE(pricing_oracle::chains_equal(pruned, pricing_oracle::minimum_chains(all)));
+  for (const auto algo : {steiner::Algorithm::kKmb, steiner::Algorithm::kMehlhorn,
+                          steiner::Algorithm::kTakahashiMatsuyama,
+                          steiner::Algorithm::kDreyfusWagner}) {
+    if (algo == steiner::Algorithm::kDreyfusWagner && dests > 5) continue;
+    SCOPED_TRACE("steiner algorithm " + std::to_string(static_cast<int>(algo)));
+    AlgoOptions opt;
+    opt.steiner = algo;
+    SofdaStats full_stats, pruned_stats;
+    const auto f_full = sofda_from_candidates(p, closure, all, opt, &full_stats);
+    const auto f_pruned = sofda_from_candidates(p, closure, pruned, opt, &pruned_stats);
+    EXPECT_TRUE(pricing_oracle::forests_equal(f_full, f_pruned));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(full_stats.steiner_tree_cost),
+              std::bit_cast<std::uint64_t>(pruned_stats.steiner_tree_cost));
+    EXPECT_EQ(full_stats.deployed_chains, pruned_stats.deployed_chains);
+    EXPECT_EQ(full_stats.candidate_chains, static_cast<int>(all.size()));
+    EXPECT_EQ(pruned_stats.candidate_chains, static_cast<int>(pruned.size()));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DominancePruning, ::testing::Range(1, 41));
 
 }  // namespace
 }  // namespace sofe::core
