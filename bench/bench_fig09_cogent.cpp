@@ -9,7 +9,7 @@
 // closure build at k ∈ {1, 2, 4, 8} controllers, reporting per-controller
 // build time (expected to shrink with k), exchanged rows/bytes and protocol
 // rounds, plus the online arrival loop driven through the "dist/k=<k>"
-// session — every point asserted bitwise identical to the centralized
+// solver — every point asserted bitwise identical to the centralized
 // "sofda" run (exit 1 on divergence).
 //
 // Flags:

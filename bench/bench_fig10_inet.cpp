@@ -9,8 +9,9 @@
 // bitwise identical to the centralized "sofda" run (exit 1 on divergence).
 //
 // Flags:
-//   --smoke   dist panel only on a shrunken network (seconds, CI-friendly);
-//             the JSON carries "smoke": true
+//   --smoke   dist panel only on a shrunken network and a 25-arrival
+//             stream (seconds; the bench_dist_inet_smoke ctest entry); the
+//             JSON carries "smoke": true
 //   --json    additionally write the k-sweep to BENCH_dist.json
 
 #include <cstdlib>
@@ -50,7 +51,7 @@ int main(int argc, char** argv) {
   sofe::topology::ProblemConfig cfg;  // paper defaults: 14/6/25, |C|=3
   cfg.seed = 10;
   sofe::online::OnlineConfig online_cfg;
-  online_cfg.requests = smoke ? 4 : 12;
+  online_cfg.requests = smoke ? 25 : 12;
   online_cfg.min_destinations = 4;
   online_cfg.max_destinations = 6;
   online_cfg.min_sources = 2;

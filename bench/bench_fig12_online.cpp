@@ -7,8 +7,8 @@
 //
 // This harness is also the incremental pipeline's acceptance bench
 // (DESIGN.md §8 + §9): every solver runs the arrival loop twice — once
-// with the delta-aware session (SolverOptions::incremental closure repair
-// plus the price-keyed chain cache) and once with the recomputing baseline
+// with the delta-aware session (ClosureSession closure repair plus the
+// price-keyed chain cache) and once with the recomputing baseline
 // (a fresh solver per arrival over per-arrival Problem copies, so no
 // closure or pricing state survives an arrival) — verifies the two
 // series bit for bit (exit 1 on any divergence), and reports the

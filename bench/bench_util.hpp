@@ -244,7 +244,7 @@ inline void run_cost_figure(const topology::Topology& topo, bool with_exact, dou
 // Multi-controller k-sweep panel (DESIGN.md §11): shared by the Cogent and
 // Inet cost figures.  For each controller count it runs the one-shot
 // distributed solve (sharded closure build + row exchange) and an online
-// arrival loop with the "dist/k=<k>" session solver, asserting both stay
+// arrival loop with the "dist/k=<k>" solver, asserting both stay
 // *bitwise* identical to the centralized "sofda" run — the property the
 // sharded stitch guarantees — and reporting the scaling the sharding buys:
 // per-controller closure build time shrinking with k, exchanged bytes
@@ -261,7 +261,7 @@ struct DistSweepPoint {
   std::size_t messages = 0;
   std::size_t payload_bytes = 0;  // whole-protocol wire bytes (incl. row exchange)
   int rounds = 0;
-  double arrival_loop_seconds = 0.0;  // online stream through the dist session
+  double arrival_loop_seconds = 0.0;  // online stream through the dist solver
   bool identical = true;              // one-shot forest AND online series == "sofda"
 };
 

@@ -190,15 +190,8 @@ int Pipeline::Impl::publish_epoch(int first, OnlineResult& result) {
         }
       }
     }
-    api::ClosureRequest req;
-    req.threads = opt.threads;
-    req.incremental = opt.incremental;
-    // Epoch closures are always unbounded: truncated trees cannot be
-    // repaired per epoch, and the re-homing fallback queries
-    // hub-to-destination rows for arbitrary queued requests.
-    req.bounded = false;
     api::SolveReport report;
-    closure = &publisher.acquire(stream.master().network, union_hubs, req, report);
+    closure = &publisher.acquire(stream.master().network, union_hubs, opt.threads, report);
     if (report.closure_cache_hit) {
       ++result.publish_hits;
     } else if (report.closure_repaired) {

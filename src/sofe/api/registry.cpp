@@ -1,6 +1,5 @@
 #include "sofe/api/registry.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <charconv>
 #include <stdexcept>
@@ -40,15 +39,7 @@ class SofdaSolver final : public Solver {
     }
     std::vector<NodeId> hubs = p.vms();
     hubs.insert(hubs.end(), p.sources.begin(), p.sources.end());
-    ClosureRequest req;
-    req.threads = opt_.threads;
-    req.incremental = opt_.incremental;
-    req.bounded = opt_.bounded_closure;
-    // Pricing and chain lifting query hub-to-hub only; the re-homing
-    // fallback additionally queries hub-to-destination — so destinations
-    // complete the settle scope of a bounded closure.
-    req.settle_targets = p.destinations;
-    return price_and_solve(p, session_.acquire(p.network, hubs, req, r), r);
+    return price_and_solve(p, session_.acquire(p.network, hubs, opt_.threads, r), r);
   }
 
   ServiceForest do_solve_epoch(const Problem& p, const graph::MetricClosure& closure,
@@ -105,16 +96,7 @@ class SofdaSsSolver final : public Solver {
     const NodeId source = p.sources.front();
     std::vector<NodeId> hubs = p.vms();
     hubs.push_back(source);
-    ClosureRequest req;
-    req.threads = opt_.threads;
-    req.incremental = opt_.incremental;
-    // Chain planning queries the closure hub-to-hub, and pass-through
-    // shortening reads the last segment (last VM -> destination) off the
-    // VM trees — so destinations complete the settle scope of a bounded
-    // closure, as for SOFDA.
-    req.bounded = opt_.bounded_closure;
-    req.settle_targets = p.destinations;
-    const auto& closure = session_.acquire(p.network, hubs, req, r);
+    const auto& closure = session_.acquire(p.network, hubs, opt_.threads, r);
     util::Stopwatch watch;
     ServiceForest f = core::sofda_ss(p, source, closure, opt_.algo());
     r.solve_seconds = watch.seconds();
@@ -147,14 +129,13 @@ class BaselineSolver final : public Solver {
   std::string name_;
 };
 
-/// Multi-controller SOFDA as a session: the sharded closure (DESIGN.md §11)
-/// persists across solves through ClosureSession::acquire_sharded, so an
-/// arrival stream's repeated solves repair the per-domain shards and
-/// re-exchange only dirtied border rows instead of rebuilding and
-/// re-shipping the whole advertisement every call.  Every exchange — cold
-/// or incremental — is charged on a per-solve MessageBus, and results stay
-/// bit-identical to the free dist::distributed_sofda at any k and thread
-/// count (tested).
+/// Multi-controller SOFDA: a one-shot adapter over dist::distributed_sofda.
+/// Every solve partitions, builds the sharded closure and runs the protocol
+/// cold, with its exchanges charged on a fresh MessageBus, so the forest is
+/// the centralized "sofda" forest at any k and thread count (DESIGN.md §11).
+/// No closure is cached across solves: the shards advertise chains toward
+/// the build's destinations only, so a stitched view kept for the next
+/// arrival would not be exact for new destinations.
 class DistSolver final : public Solver {
  public:
   DistSolver(SolverOptions opt, int controllers)
@@ -166,48 +147,21 @@ class DistSolver final : public Solver {
 
  protected:
   ServiceForest do_solve(const Problem& p, SolveReport& r) override {
-    const int n = static_cast<int>(p.network.node_count());
-    const int k = std::clamp(controllers_, 1, std::max(n, 1));
-    if (k == 1 || p.chain_length == 0 || p.destinations.empty()) {
-      // One controller or a pipeline-less instance: centralized, no
-      // protocol, nothing worth caching across solves.
-      util::Stopwatch watch;
-      auto result = dist::distributed_sofda(p, k, opt_.algo());
-      r.solve_seconds = watch.seconds();
-      fill(r, result);
-      return std::move(result.forest);
-    }
-
-    dist::MessageBus bus;
-    std::vector<NodeId> hubs = p.vms();
-    hubs.insert(hubs.end(), p.sources.begin(), p.sources.end());
-    ClosureRequest req;
-    req.threads = opt_.threads;
-    req.incremental = opt_.incremental;
-    req.bounded = opt_.bounded_closure;
-    req.settle_targets = p.destinations;  // the sharded advertisement targets
-    const dist::ShardedClosure& sc = session_.acquire_sharded(p.network, hubs, k, req, bus, r);
-
     util::Stopwatch watch;
-    auto result = dist::distributed_sofda_with(p, sc, bus, opt_.algo());
+    auto result = dist::distributed_sofda(p, controllers_, opt_.algo());
     r.solve_seconds = watch.seconds();
-    fill(r, result);
-    return std::move(result.forest);
-  }
-
- private:
-  static void fill(SolveReport& r, const dist::DistSofdaResult& result) {
     r.sofda = result.stats;
     r.controllers = result.controllers;
     r.messages = result.messages;
     r.payload_items = result.payload_items;
     r.payload_bytes = result.payload_bytes;
     r.rounds = result.rounds;
+    return std::move(result.forest);
   }
 
+ private:
   int controllers_;
   std::string name_;
-  ClosureSession session_;
 };
 
 class ExactSolver final : public Solver {

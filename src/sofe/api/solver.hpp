@@ -5,20 +5,19 @@
 // Every embedding algorithm in the library — SOFDA, SOFDA-SS, the Section
 // VIII baselines, the multi-controller pipeline and the exact solver — is
 // exposed as a stateful `Solver` object with one uniform entry point,
-// `solve(const Problem&) -> ServiceForest`.  A Solver is a *session*: it
-// owns a persistent ShortestPathEngine and a MetricClosure cache that
-// survive across solve() calls, so sequential workloads (the online
-// simulator's arrival stream, bench sweeps over seeds) reuse workspaces
-// instead of reallocating O(hubs · V) state per call, and an unchanged
-// network + hub set skips closure construction entirely.
+// `solve(const Problem&) -> ServiceForest`.  The SOFDA-family solvers are
+// *sessions*: each owns a ClosureSession (a persistent ShortestPathEngine
+// plus one MetricClosure) that survives across solve() calls, so
+// sequential workloads (the online simulator's arrival stream, bench
+// sweeps over seeds) repair or reuse the closure instead of rebuilding
+// O(hubs · V) state per call.  The "dist/k=<int>" solvers are one-shot:
+// every solve runs dist::distributed_sofda cold (DESIGN.md §11).
 //
 // The free functions (core::sofda, core::sofda_ss, baselines::run,
 // dist::distributed_sofda, exact::solve_exact) remain as one-shot shims;
 // solvers are obtained by name through the SolverRegistry (registry.hpp).
 
 #include <cassert>
-#include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,11 +28,6 @@
 #include "sofe/exact/solver.hpp"
 #include "sofe/graph/metric_closure.hpp"
 #include "sofe/graph/shortest_path_engine.hpp"
-
-namespace sofe::dist {
-class MessageBus;
-class ShardedClosure;
-}  // namespace sofe::dist
 
 namespace sofe::api {
 
@@ -53,22 +47,6 @@ struct SolverOptions {
   steiner::Algorithm steiner = steiner::Algorithm::kMehlhorn;  // Steiner-tree variant
   bool shorten = true;  // apply the pass-through shortening post-step
   int threads = 1;      // solver-wide: closure build + chain pricing workers
-  /// Delta-aware session cache (DESIGN.md §8): when only edge costs changed
-  /// since the cached closure was built, repair its trees in place
-  /// (ShortestPathEngine::repair) instead of rebuilding, and grow the hub
-  /// set incrementally instead of keying on the exact hub sequence.  Like
-  /// `threads` this is purely a speed knob: repaired trees are bit-identical
-  /// to rebuilt ones (tested), so results never depend on it.  Off restores
-  /// the strict rebuild-on-any-change session of the pre-incremental API
-  /// (the bench's recomputing baseline).
-  bool incremental = true;
-  /// Build session closures bounded: every hub tree stops once all hubs and
-  /// all destinations are settled (run_until_settled).  Exact for every
-  /// query SOFDA pricing and re-homing perform, and cheaper on large graphs
-  /// with clustered hubs, but truncated trees cannot be repaired — bounded
-  /// sessions rebuild on every cost change, so prefer `incremental` for
-  /// arrival streams and `bounded_closure` for one-shot solves.
-  bool bounded_closure = false;
   exact::ExactLimits exact_limits;  // the "exact" solver's search budget
 
   /// View for the procedural (core/baselines/dist) layers.
@@ -79,15 +57,6 @@ struct SolverOptions {
     o.shorten = shorten;
     o.closure_threads = threads;
     return o;
-  }
-
-  static SolverOptions from(const core::AlgoOptions& o) {
-    SolverOptions s;
-    s.stroll = o.stroll;
-    s.steiner = o.steiner;
-    s.shorten = o.shorten;
-    s.threads = o.closure_threads;
-    return s;
   }
 };
 
@@ -115,7 +84,7 @@ struct SolveReport {
   bool closure_repaired = false;   //   cost deltas repaired in place
   int closure_hubs = 0;            //   hub count requested of the closure
   int closure_delta_edges = 0;     //   edges whose cost changed since cached
-  int closure_hubs_added = 0;      //   hubs newly built by an incremental acquire
+  int closure_hubs_added = 0;      //   hubs newly built by a repairing acquire
 
   int pricing_hits = 0;      // chains served from the pricing cache (§9)
   int pricing_repriced = 0;  //   chains re-priced this solve
@@ -123,7 +92,7 @@ struct SolveReport {
   bool pricing_flushed = false;  //   this solve dropped every cached chain
 
   /// Always 0 since the row-retention window was removed (DESIGN.md §13):
-  /// an incremental acquire stores exactly the requested hubs, so no
+  /// an acquire stores exactly the requested hubs, so no
   /// requested hub can find a row the previous request did not name.
   /// Kept for readers of the report layout.  closure_bytes is the session
   /// closure's slab footprint after the acquire (MetricClosure::memory_bytes).
@@ -136,95 +105,47 @@ struct SolveReport {
   double total_seconds = 0.0;    // full solve() wall time
 };
 
-/// Per-acquire parameters of the session closure cache.
-struct ClosureRequest {
-  int threads = 1;           // as in MetricClosure::build
-  bool incremental = true;   // SolverOptions::incremental
-  bool bounded = false;      // SolverOptions::bounded_closure
-  /// Extra settle targets of a bounded build (SOFDA passes the
-  /// destinations); ignored when !bounded.  The span must stay alive for
-  /// the duration of the acquire call only.
-  std::span<const NodeId> settle_targets;
-};
-
-/// Session-scoped MetricClosure cache shared by the concrete solvers.
+/// Session-scoped MetricClosure cache shared by the SOFDA-family solvers
+/// and the epoch pipeline's publisher (DESIGN.md §7, §8).
 ///
 /// `acquire` returns a closure holding Dijkstra trees for `hubs` over `g`,
 /// recomputing only what actually changed.  The cache key is the exact
-/// (node count, edge list incl. costs, hub membership) value rather than
-/// (graph pointer, Graph::version()): version counters travel with Problem
-/// copies, so two graphs can carry the same version at the same address
-/// with different link prices — an exact key is what makes the session safe
-/// to point at any Problem.  The O(E + hubs) comparison is noise next to
-/// one Dijkstra, and it is exactly what produces the arc-delta list the
-/// incremental path feeds to MetricClosure::refresh.
+/// (node count, edge list incl. costs) value rather than (graph pointer,
+/// Graph::version()): version counters travel with Problem copies, so two
+/// graphs can carry the same version at the same address with different
+/// link prices — an exact key is what makes the session safe to point at
+/// any Problem.  The O(E) comparison is noise next to one Dijkstra, and it
+/// is exactly what produces the arc-delta list the repair path feeds to
+/// MetricClosure::refresh.
 ///
-/// Outcomes of an incremental acquire (DESIGN.md §8):
+/// Outcomes of an acquire (DESIGN.md §8):
 ///   * hit        — same structure, same costs, all hubs present: reuse
 ///                  (rows of hubs the request no longer names are dropped).
 ///   * repair     — same structure, few cost deltas: drop the rows of
 ///                  unrequested hubs, repair the rest in place and build
 ///                  only the missing hubs.
-/// Either way the stored closure afterwards holds exactly the distinct
-/// requested hubs (DESIGN.md §13), so repair work and memory scale with
-/// the request, never with the stream's history.
-///   * rebuild    — structural change, hub-set cold start, or a delta list
-///                  above the repair threshold (quarter of the edges: past
-///                  that the affected regions approach whole trees and a
+///   * rebuild    — structural change, cold start, or a delta list above
+///                  the repair threshold (quarter of the edges: past that
+///                  the affected regions approach whole trees and a
 ///                  rebuild's linear sweeps win).
-/// Non-incremental sessions (SolverOptions::incremental = false) and
-/// bounded closures key on the exact hub sequence (+ settle targets) and
-/// only ever hit or rebuild.
+/// Whatever the outcome, the stored closure afterwards holds exactly the
+/// distinct requested hubs as complete trees (DESIGN.md §13), so repair
+/// work and memory scale with the request, never with the stream's
+/// history.
 class ClosureSession {
  public:
-  ClosureSession();   // out of line: ShardedClosure is incomplete here
-  ~ClosureSession();
-
   /// Updates report.closure_cache_hit/_repaired/_hubs/_delta_edges/
-  /// _hubs_added and report.closure_seconds.
+  /// _hubs_added/_bytes and report.closure_seconds.  `threads` is as in
+  /// MetricClosure::build.
   const graph::MetricClosure& acquire(const graph::Graph& g, const std::vector<NodeId>& hubs,
-                                      const ClosureRequest& req, SolveReport& report);
-
-  /// The sharded-mode acquire (DESIGN.md §11): the cached object is a
-  /// dist::ShardedClosure over `controllers` domains, and every exchange a
-  /// cold build or an incremental repair performs is charged on `bus` — the
-  /// partition broadcast of a rebuild, the row exchange of the build, the
-  /// dirtied-row re-exchange of a refresh, the new-row shipping of an
-  /// extend.  Outcomes mirror acquire(): hit (same structure/costs/k, hubs
-  /// present — nothing charged), repair (retain + refresh + extend on the
-  /// sharded closure; incremental unbounded sessions only), rebuild
-  /// (re-partition + full sharded build).  `req.settle_targets` names the
-  /// problem's destinations — the sharded closure's advertisement targets,
-  /// bounded or not.  Results are bit-identical to a fresh global closure
-  /// at every k and thread count (tested), so sharing one session between
-  /// plain and sharded acquires is safe; the two modes merely invalidate
-  /// each other's cache.
-  const dist::ShardedClosure& acquire_sharded(const graph::Graph& g,
-                                              const std::vector<NodeId>& hubs, int controllers,
-                                              const ClosureRequest& req, dist::MessageBus& bus,
-                                              SolveReport& report);
-
-  /// Drops the cached closure (the next acquire rebuilds).
-  void invalidate() {
-    valid_ = false;
-    sharded_valid_ = false;
-  }
-
-  /// The session's single-thread build engine (exposed so solvers can run
-  /// auxiliary queries against persistent workspaces).
-  graph::ShortestPathEngine& engine() noexcept { return engine_; }
+                                      int threads, SolveReport& report);
 
  private:
   graph::MetricClosure closure_;
   graph::ShortestPathEngine engine_;
-  std::unique_ptr<dist::ShardedClosure> sharded_;  // sharded-mode cache (lazy)
   bool valid_ = false;
-  bool sharded_valid_ = false;
-  int sharded_k_ = 0;               // controller count the sharded cache was built for
   NodeId key_nodes_ = 0;
   std::vector<graph::Edge> key_edges_;
-  std::vector<NodeId> key_hubs_;     // exact-sequence key (non-incremental/bounded)
-  std::vector<NodeId> key_targets_;  // bounded: the settle-target sequence
   std::vector<graph::EdgeCostDelta> deltas_;  // scratch
   std::vector<NodeId> missing_;               // scratch
 };
@@ -280,8 +201,8 @@ class Solver {
   /// free.  Pass nullptr to detach.  The sink must outlive its use here.
   void set_report_sink(ReportAccumulator* sink) noexcept { sink_ = sink; }
 
-  /// Live tuning knobs: mutations apply from the next solve() on (session
-  /// caches detect semantic flips and restart cold where needed).
+  /// Live tuning knobs: mutations apply from the next solve() on (the
+  /// pricing cache restarts cold when an option it keys on changes).
   SolverOptions& options() noexcept { return opt_; }
   const SolverOptions& options() const noexcept { return opt_; }
 

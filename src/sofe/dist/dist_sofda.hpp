@@ -59,19 +59,21 @@ struct DistSofdaResult {
   double stitch_seconds = 0.0;
 };
 
-/// Embeds `p` with `controllers` cooperating controllers.  With one
-/// controller (or a degenerate instance) this is exactly `core::sofda`,
-/// message-free.  Deterministic in (p, controllers, opt).
+/// Embeds `p` with `controllers` cooperating controllers, cold: partition,
+/// sharded build and protocol all run per call (api's "dist/k=<int>"
+/// solvers are thin adapters over this).  With one controller (or a
+/// degenerate instance) this is exactly `core::sofda`, message-free.
+/// Deterministic in (p, controllers, opt).
 DistSofdaResult distributed_sofda(const core::Problem& p, int controllers,
                                   const core::AlgoOptions& opt = {});
 
-/// Protocol rounds 3-6 against an already-built (or session-repaired)
-/// sharded closure: redistribution, per-domain pricing, the coordinator
-/// solve and the acks.  `sc` must have been built for this problem's
-/// hubs/destinations over `p.network`; `bus` keeps accumulating, so the
-/// returned ledger covers everything charged on it (api::DistSolver passes
-/// the same bus through ClosureSession::acquire_sharded first).  Requires
-/// chain_length >= 1 and nonempty destinations.
+/// Protocol rounds 3-6 against an already-built sharded closure:
+/// redistribution, per-domain pricing, the coordinator solve and the acks.
+/// `sc` must have been built for this problem's hubs and destinations over
+/// `p.network` (its advertisements cover those destinations only); `bus`
+/// keeps accumulating, so the returned ledger covers everything charged on
+/// it, the build's exchange included.  Requires chain_length >= 1 and
+/// nonempty destinations.
 DistSofdaResult distributed_sofda_with(const core::Problem& p, const ShardedClosure& sc,
                                        MessageBus& bus, const core::AlgoOptions& opt = {});
 

@@ -4,7 +4,7 @@
 //
 // The sharded closure needs this view of a partition: each controller owns
 // the induced subgraph over its domain's members, with edge ids mapped both
-// ways so global `EdgeCostDelta` batches can be routed to the owning domain
+// ways so cross links (no local id) are told apart from intra-domain edges
 // and local shortest-path trees can be reported back in global edge ids.
 // DomainGraphs builds that view once — one pass over the global edge list.
 

@@ -1,11 +1,8 @@
 #include "sofe/dist/sharded_closure.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 namespace sofe::dist {
@@ -29,11 +26,11 @@ void ShardedClosure::build_domain(int d, int inner_threads) {
 
   // Roots: the domain's borders (ascending, as partitioned) then the hubs it
   // owns, in hub-list order, deduplicated.
-  ds.row_of_local.assign(members.size(), -1);
+  std::vector<char> is_root(members.size(), 0);
   const auto add_root = [&](NodeId global) {
-    const int lv = dg_.local(global);
-    if (ds.row_of_local[static_cast<std::size_t>(lv)] >= 0) return;
-    ds.row_of_local[static_cast<std::size_t>(lv)] = static_cast<int>(ds.roots.size());
+    const auto lv = static_cast<std::size_t>(dg_.local(global));
+    if (is_root[lv]) return;
+    is_root[lv] = 1;
     ds.roots.push_back(global);
   };
   for (NodeId b : part_.borders[du]) add_root(b);
@@ -42,11 +39,11 @@ void ShardedClosure::build_domain(int d, int inner_threads) {
   }
 
   // Settle targets: borders ∪ owned hubs ∪ owned destinations (local ids).
-  ds.is_target_local.assign(members.size(), 0);
+  std::vector<char> is_target(members.size(), 0);
   const auto add_target = [&](NodeId global) {
     const auto lv = static_cast<std::size_t>(dg_.local(global));
-    if (ds.is_target_local[lv]) return;
-    ds.is_target_local[lv] = 1;
+    if (is_target[lv]) return;
+    is_target[lv] = 1;
     ds.targets_local.push_back(static_cast<NodeId>(lv));
   };
   for (NodeId b : part_.borders[du]) add_target(b);
@@ -61,9 +58,8 @@ void ShardedClosure::build_domain(int d, int inner_threads) {
   local_roots.reserve(ds.roots.size());
   for (NodeId r : ds.roots) local_roots.push_back(static_cast<NodeId>(dg_.local(r)));
 
-  graph::ClosureScope scope;
-  if (bounded_) scope = {true, std::span<const NodeId>(ds.targets_local)};
-  ds.local.build(dom.subgraph, local_roots, inner_threads, nullptr, scope);
+  ds.local.build(dom.subgraph, local_roots, inner_threads, nullptr,
+                 {true, std::span<const NodeId>(ds.targets_local)});
 
   ds.advert.resize(ds.roots.size());
   for (std::size_t i = 0; i < ds.roots.size(); ++i) {
@@ -110,43 +106,13 @@ std::vector<EdgeId> ShardedClosure::advertise_row(int d, NodeId root_global) con
   return out;
 }
 
-void ShardedClosure::swap_row_advert(int d, int row, std::vector<EdgeId> fresh,
-                                     std::vector<std::pair<EdgeId, Cost>>& first_touch) {
-  auto& advert = domains_[static_cast<std::size_t>(d)].advert[static_cast<std::size_t>(row)];
-  const auto touch = [&](EdgeId e) {
-    // Pre-change effective mask cost; masked_ still holds the pre-refresh
-    // state here, so an advertised edge reads its old real cost.
-    first_touch.emplace_back(e, ref_[static_cast<std::size_t>(e)] > 0
-                                    ? masked_.edge(e).cost
-                                    : graph::kInfiniteCost);
-  };
-  // Both vectors are sorted: one merge pass finds removals and additions.
-  std::size_t i = 0, j = 0;
-  while (i < advert.size() || j < fresh.size()) {
-    if (j == fresh.size() || (i < advert.size() && advert[i] < fresh[j])) {
-      touch(advert[i]);
-      --ref_[static_cast<std::size_t>(advert[i])];
-      ++i;
-    } else if (i == advert.size() || fresh[j] < advert[i]) {
-      touch(fresh[j]);
-      ++ref_[static_cast<std::size_t>(fresh[j])];
-      ++j;
-    } else {
-      ++i;
-      ++j;
-    }
-  }
-  advert = std::move(fresh);
-}
-
 void ShardedClosure::build(const Graph& g, Partition part, std::vector<NodeId> hubs,
                            std::span<const NodeId> destinations, int num_threads,
-                           MessageBus& bus, bool bounded) {
+                           MessageBus& bus) {
   part_ = std::move(part);
   dg_ = DomainGraphs(g, part_);
   hubs_ = std::move(hubs);
   dests_.assign(destinations.begin(), destinations.end());
-  bounded_ = bounded;
   stats_ = Stats{};
   const int k = part_.num_domains;
   stats_.domains = k;
@@ -198,242 +164,29 @@ void ShardedClosure::build(const Graph& g, Partition part, std::vector<NodeId> h
     stats_.exchange_rounds = 1;
   }
 
-  // Stitch: mask every edge no advertisement mentions (cross links carry a
-  // permanent base count — both endpoint controllers always see them) and
-  // run the ordinary closure over the masked copy.
-  ref_.assign(static_cast<std::size_t>(g.edge_count()), 0);
-  for (std::size_t e = 0; e < ref_.size(); ++e) {
-    if (dg_.edge_local[e] == graph::kInvalidEdge) ref_[e] = 1;
+  // Stitch: mask every edge no advertisement mentions (cross links are
+  // always unmasked — both endpoint controllers see them) and run the
+  // ordinary closure over the masked copy.
+  std::vector<char> advertised(static_cast<std::size_t>(g.edge_count()), 0);
+  for (std::size_t e = 0; e < advertised.size(); ++e) {
+    if (dg_.edge_local[e] == graph::kInvalidEdge) advertised[e] = 1;
   }
   for (const auto& ds : domains_) {
     for (const auto& row : ds.advert) {
-      for (EdgeId e : row) ++ref_[static_cast<std::size_t>(e)];
+      for (EdgeId e : row) advertised[static_cast<std::size_t>(e)] = 1;
     }
   }
   const auto t0 = Clock::now();
-  masked_ = g;
-  for (std::size_t e = 0; e < ref_.size(); ++e) {
-    if (ref_[e] == 0) {
-      masked_.set_edge_cost(static_cast<EdgeId>(e), graph::kInfiniteCost);
-    } else {
+  Graph masked = g;
+  for (std::size_t e = 0; e < advertised.size(); ++e) {
+    if (advertised[e]) {
       ++stats_.skeleton_edges;
+    } else {
+      masked.set_edge_cost(static_cast<EdgeId>(e), graph::kInfiniteCost);
     }
   }
-  graph::ClosureScope scope;
-  if (bounded_) scope = {true, std::span<const NodeId>(dests_)};
-  stitched_.build(masked_, hubs_, num_threads, nullptr, scope);
+  stitched_.build(masked, hubs_, num_threads, nullptr, {true, std::span<const NodeId>(dests_)});
   stats_.stitch_seconds = seconds_since(t0);
-}
-
-std::vector<Cost> ShardedClosure::target_distances(int d) const {
-  const auto& ds = domains_[static_cast<std::size_t>(d)];
-  std::vector<Cost> out;
-  out.reserve(ds.roots.size() * ds.targets_local.size());
-  for (NodeId root : ds.roots) {
-    const auto t = ds.local.tree(static_cast<NodeId>(dg_.local(root)));
-    for (NodeId tl : ds.targets_local) out.push_back(t.distance(tl));
-  }
-  return out;
-}
-
-void ShardedClosure::refresh(const Graph& g, std::span<const graph::EdgeCostDelta> deltas,
-                             int num_threads, MessageBus& bus) {
-  assert(!bounded_ && "bounded sharded closures are not repairable");
-  const int k = part_.num_domains;
-
-  // Route every delta to its owning domain; cross-link deltas have no owner
-  // and hit the mask directly (their refcount base never drops).
-  std::vector<std::pair<EdgeId, Cost>> first_touch;  // (edge, pre-refresh effective cost)
-  std::vector<std::vector<graph::EdgeCostDelta>> local_deltas(static_cast<std::size_t>(k));
-  for (const auto& dc : deltas) {
-    const auto eu = static_cast<std::size_t>(dc.edge);
-    first_touch.emplace_back(dc.edge,
-                             ref_[eu] > 0 ? dc.old_cost : graph::kInfiniteCost);
-    const EdgeId le = dg_.edge_local[eu];
-    if (le == graph::kInvalidEdge) continue;
-    const int dm = part_.domain(g.edge(dc.edge).u);
-    local_deltas[static_cast<std::size_t>(dm)].push_back({le, dc.old_cost, dc.new_cost});
-    dg_.domains[static_cast<std::size_t>(dm)].subgraph.set_edge_cost(le, dc.new_cost);
-  }
-
-  // Owning domains repair their local closures; a row re-advertises only
-  // when its advertisement moved (chain-edge set or target distances), and
-  // only non-coordinator rows re-ship — the incremental comms path.
-  bool sent = false;
-  for (int d = 0; d < k; ++d) {
-    const auto du = static_cast<std::size_t>(d);
-    if (local_deltas[du].empty()) continue;
-    auto& ds = domains_[du];
-    const std::vector<Cost> before = target_distances(d);
-    ds.local.refresh(dg_.domains[du].subgraph, local_deltas[du], num_threads);
-    const std::vector<Cost> after = target_distances(d);
-    const std::size_t width = ds.targets_local.size();
-    for (std::size_t row = 0; row < ds.roots.size(); ++row) {
-      std::vector<EdgeId> fresh = advertise_row(d, ds.roots[row]);
-      const auto at = static_cast<std::ptrdiff_t>(row * width);
-      if (fresh == ds.advert[row] &&
-          std::equal(before.begin() + at, before.begin() + at + static_cast<std::ptrdiff_t>(width),
-                     after.begin() + at)) {
-        continue;
-      }
-      swap_row_advert(d, static_cast<int>(row), std::move(fresh), first_touch);
-      ++stats_.repaired_rows;
-      const std::size_t entries = ds.advert[row].size() + width;
-      if (d != 0) {
-        bus.send(entries);
-        ++stats_.exchanged_rows;
-        stats_.exchanged_entries += entries;
-        stats_.exchanged_bytes += entries * sizeof(Cost);
-        sent = true;
-      }
-    }
-  }
-  if (sent) {
-    bus.end_round();
-    ++stats_.exchange_rounds;
-  }
-
-  // Fold refcount moves and real cost changes into mask deltas (first
-  // record per edge wins: it carries the pre-refresh effective cost).
-  std::stable_sort(first_touch.begin(), first_touch.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<graph::EdgeCostDelta> mask_deltas;
-  EdgeId last = graph::kInvalidEdge;
-  for (const auto& [e, old_eff] : first_touch) {
-    if (e == last) continue;
-    last = e;
-    const Cost now =
-        ref_[static_cast<std::size_t>(e)] > 0 ? g.edge(e).cost : graph::kInfiniteCost;
-    if (now != old_eff) {
-      masked_.set_edge_cost(e, now);
-      mask_deltas.push_back({e, old_eff, now});
-    }
-  }
-  stats_.skeleton_edges = 0;
-  for (int r : ref_) stats_.skeleton_edges += r > 0 ? 1 : 0;
-
-  if (!mask_deltas.empty()) {
-    const auto t0 = Clock::now();
-    stitched_.refresh(masked_, mask_deltas, num_threads);
-    stats_.stitch_seconds += seconds_since(t0);
-  }
-}
-
-void ShardedClosure::extend(const Graph& g, const std::vector<NodeId>& hubs, int num_threads,
-                            MessageBus& bus) {
-  assert(!bounded_ && "bounded sharded closures are not extendable");
-  const int k = part_.num_domains;
-
-  std::vector<NodeId> missing;
-  for (NodeId h : hubs) {
-    if (!stitched_.is_hub(h)) missing.push_back(h);
-  }
-  if (missing.empty()) return;
-
-  std::vector<std::vector<NodeId>> new_hubs_of(static_cast<std::size_t>(k));
-  for (NodeId h : missing) {
-    new_hubs_of[static_cast<std::size_t>(part_.domain(h))].push_back(h);
-  }
-
-  std::vector<std::pair<EdgeId, Cost>> first_touch;
-  bool sent = false;
-  for (int d = 0; d < k; ++d) {
-    const auto du = static_cast<std::size_t>(d);
-    if (new_hubs_of[du].empty()) continue;
-    auto& ds = domains_[du];
-
-    // New local roots and targets for the hubs this domain now owns.  A hub
-    // churning back in may already be a (warm) root — then nothing local
-    // changes and no re-exchange is charged.
-    std::vector<NodeId> new_root_locals;
-    const std::size_t old_rows = ds.roots.size();
-    bool new_targets = false;
-    for (NodeId h : new_hubs_of[du]) {
-      const auto lv = static_cast<std::size_t>(dg_.local(h));
-      if (ds.row_of_local[lv] < 0) {
-        ds.row_of_local[lv] = static_cast<int>(ds.roots.size());
-        ds.roots.push_back(h);
-        new_root_locals.push_back(static_cast<NodeId>(lv));
-      }
-      if (!ds.is_target_local[lv]) {
-        ds.is_target_local[lv] = 1;
-        ds.targets_local.push_back(static_cast<NodeId>(lv));
-        new_targets = true;
-      }
-    }
-    if (!new_root_locals.empty()) {
-      ds.local.extend(dg_.domains[du].subgraph, new_root_locals, num_threads);
-      ds.advert.resize(ds.roots.size());
-    }
-
-    // Every pre-existing root must now also advertise its chains toward the
-    // new targets (the final segment of any global chain into a new hub
-    // enters this domain at one of these roots); only the appended entries
-    // ship.  New rows advertise — and ship — in full.
-    for (std::size_t row = 0; row < ds.roots.size(); ++row) {
-      const bool fresh_row = row >= old_rows;
-      if (!fresh_row && !new_targets) continue;
-      const std::size_t before = fresh_row ? 0 : ds.advert[row].size();
-      swap_row_advert(d, static_cast<int>(row), advertise_row(d, ds.roots[row]), first_touch);
-      const std::size_t appended = ds.advert[row].size() - before;
-      const std::size_t entries =
-          fresh_row ? ds.advert[row].size() + ds.targets_local.size()
-                    : appended + new_hubs_of[du].size();
-      ++stats_.repaired_rows;
-      if (fresh_row) {
-        ++stats_.rows;
-        stats_.entries += entries;
-      }
-      if (d != 0) {
-        bus.send(entries);
-        ++stats_.exchanged_rows;
-        stats_.exchanged_entries += entries;
-        stats_.exchanged_bytes += entries * sizeof(Cost);
-        sent = true;
-      }
-    }
-  }
-  if (sent) {
-    bus.end_round();
-    ++stats_.exchange_rounds;
-  }
-
-  // Freshly advertised edges flip from masked to real — legal deltas for
-  // the stitched repair — then the new hub rows extend the stitched view.
-  std::stable_sort(first_touch.begin(), first_touch.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<graph::EdgeCostDelta> mask_deltas;
-  EdgeId last = graph::kInvalidEdge;
-  for (const auto& [e, old_eff] : first_touch) {
-    if (e == last) continue;
-    last = e;
-    const Cost now =
-        ref_[static_cast<std::size_t>(e)] > 0 ? g.edge(e).cost : graph::kInfiniteCost;
-    if (now != old_eff) {
-      masked_.set_edge_cost(e, now);
-      mask_deltas.push_back({e, old_eff, now});
-    }
-  }
-  stats_.skeleton_edges = 0;
-  for (int r : ref_) stats_.skeleton_edges += r > 0 ? 1 : 0;
-
-  hubs_.insert(hubs_.end(), missing.begin(), missing.end());
-  const auto t0 = Clock::now();
-  if (!mask_deltas.empty()) stitched_.refresh(masked_, mask_deltas, num_threads);
-  stitched_.extend(masked_, hubs_, num_threads);
-  stats_.stitch_seconds += seconds_since(t0);
-}
-
-void ShardedClosure::retain(const std::vector<NodeId>& hubs) {
-  stitched_.retain(hubs);
-  std::unordered_set<NodeId> keep(hubs.begin(), hubs.end());
-  std::erase_if(hubs_, [&](NodeId h) { return keep.find(h) == keep.end(); });
-}
-
-std::size_t ShardedClosure::memory_bytes() const {
-  std::size_t bytes = stitched_.memory_bytes();
-  for (const DomainState& ds : domains_) bytes += ds.local.memory_bytes();
-  return bytes;
 }
 
 }  // namespace sofe::dist

@@ -29,13 +29,10 @@
 // derivations over hubs × (hubs ∪ destinations) are bit-identical to the
 // global closure — the property the distributed certificate rides on.
 //
-// Incremental (repairable builds only): an EdgeCostDelta batch routes to
-// the owning domain (cross-link deltas hit the mask directly), the local
-// closures repair in place, and only the rows whose advertisement moved
-// re-ship — their edge-set diffs become refcount moves on the mask, mask
-// flips are themselves legal EdgeCostDeltas, and the stitched closure
-// repairs through MetricClosure::refresh.  api::ClosureSession drives this
-// path.
+// A ShardedClosure is built for one problem's hubs and destinations: the
+// advertisements cover chains toward those destinations only, so the
+// stitched view is exact for that problem and no other.  There is no
+// repair path; dist::distributed_sofda builds one per solve.
 
 #include <cstddef>
 #include <span>
@@ -59,7 +56,6 @@ class ShardedClosure {
     std::size_t exchanged_bytes = 0;
     int exchange_rounds = 0;
     std::size_t skeleton_edges = 0;   // unmasked (advertised) edges of the stitch graph
-    std::size_t repaired_rows = 0;    // cumulative re-advertised rows over refresh()/extend()
     double local_build_seconds_max = 0.0;    // slowest controller: the parallel critical path
     double local_build_seconds_total = 0.0;  // sum over controllers: the k=1 work
     double stitch_seconds = 0.0;
@@ -71,77 +67,34 @@ class ShardedClosure {
   /// charged row exchange, and the stitched MetricClosure over `hubs` with
   /// every hub-to-(hub ∪ destination) distance and path bit-identical to a
   /// global build.  `part` must partition `g` (it is copied and kept).
-  /// `bounded` builds truncated local and stitched trees (cheapest, the
-  /// one-shot solve path); only unbounded builds are repairable/extendable.
+  /// Local and stitched trees are bounded: each run stops once its hubs,
+  /// borders and destinations are settled.
   void build(const Graph& g, Partition part, std::vector<NodeId> hubs,
-             std::span<const NodeId> destinations, int num_threads, MessageBus& bus,
-             bool bounded = true);
-
-  /// Repairs after the edge-cost mutations in `deltas` (g already carries
-  /// the new costs; same preconditions as MetricClosure::refresh).  Deltas
-  /// route to their owning domain; a repaired domain re-advertises every
-  /// row whose chain-edge set or target distances moved, and re-ships
-  /// (charged) exactly those; the stitched closure repairs from the
-  /// resulting mask deltas.  Unbounded builds only.
-  void refresh(const Graph& g, std::span<const graph::EdgeCostDelta> deltas, int num_threads,
-               MessageBus& bus);
-
-  /// Adds rows for hubs not yet present (the session's churned-in sources).
-  /// Owning domains grow local roots and targets, every root of an owning
-  /// domain re-advertises toward the new hubs, freshly unmasked edges
-  /// repair the stitched closure, and the new hub trees extend it.
-  /// Unbounded builds only.
-  void extend(const Graph& g, const std::vector<NodeId>& hubs, int num_threads, MessageBus& bus);
-
-  /// Drops stitched rows whose hub is not in `hubs`.  Local roots and their
-  /// advertisements are kept warm (a returning hub costs no re-exchange);
-  /// the mask only ever over-covers, which preserves exactness.
-  void retain(const std::vector<NodeId>& hubs);
+             std::span<const NodeId> destinations, int num_threads, MessageBus& bus);
 
   /// The stitched global view SOFDA prices against.
   const graph::MetricClosure& closure() const noexcept { return stitched_; }
   const Partition& partition() const noexcept { return part_; }
   const Stats& stats() const noexcept { return stats_; }
-  bool bounded() const noexcept { return bounded_; }
-
-  /// Bytes held in closure rows across the deployment: every domain's
-  /// local closure plus the stitched global view (each slab counted once
-  /// per closure — the closures share no storage with each other).
-  std::size_t memory_bytes() const;
-
-  Cost distance(NodeId from, NodeId to) const { return stitched_.distance(from, to); }
-  std::vector<NodeId> path(NodeId from, NodeId to) const { return stitched_.path(from, to); }
 
  private:
   struct DomainState {
     graph::MetricClosure local;
     std::vector<NodeId> roots;              // global ids, borders first then owned hubs
-    std::vector<int> row_of_local;          // local node id -> row index, -1 otherwise
     std::vector<NodeId> targets_local;      // local ids: borders ∪ owned (hubs ∪ destinations)
-    std::vector<char> is_target_local;      // local node id -> membership in targets_local
     std::vector<std::vector<EdgeId>> advert;  // per row: sorted global edge ids
     double build_seconds = 0.0;
   };
 
   void build_domain(int d, int inner_threads);
   std::vector<EdgeId> advertise_row(int d, NodeId root_global) const;
-  /// Every row's distances to the domain's targets, row-major (the
-  /// distance slots of the advertisement).
-  std::vector<Cost> target_distances(int d) const;
-  /// Applies an advert edge-set change for one row: refcount moves plus
-  /// first-touch recording of the edge's pre-refresh effective mask cost.
-  void swap_row_advert(int d, int row, std::vector<EdgeId> fresh,
-                       std::vector<std::pair<EdgeId, Cost>>& first_touch);
 
   Partition part_;
   DomainGraphs dg_;
   std::vector<DomainState> domains_;
-  std::vector<int> ref_;       // global edge -> advertisement refcount (cross links: +1 base)
-  Graph masked_;               // copy of g, non-advertised edges at kInfiniteCost
   graph::MetricClosure stitched_;
   std::vector<NodeId> hubs_;   // stitched hub list (global ids)
-  std::vector<NodeId> dests_;  // extra settle targets of bounded stitches
-  bool bounded_ = true;
+  std::vector<NodeId> dests_;  // extra settle targets of the stitch
   Stats stats_;
 };
 

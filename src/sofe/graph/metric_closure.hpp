@@ -29,9 +29,10 @@ class ShortestPathEngine;
 /// `bounded = true` stops every hub run once all hubs (plus
 /// `extra_targets`) are settled — exact for every hub-to-hub / hub-to-
 /// target distance AND path (parents settle first), undefined beyond.
-/// SOFDA pricing only ever queries hubs and destinations, so its closures
-/// can be bounded (SolverOptions::bounded_closure); bounded closures are
-/// NOT repairable (refresh asserts) and not extendable.
+/// One-shot builds that only ever query hubs and destinations (the
+/// sharded closure of dist::distributed_sofda, core::DynamicForest's join
+/// candidates) build bounded; bounded closures are NOT repairable (refresh
+/// asserts) and not extendable.
 struct ClosureScope {
   bool bounded = false;
   std::span<const NodeId> extra_targets;

@@ -184,9 +184,9 @@ OnlineResult simulate(const topology::Topology& topo, const OnlineConfig& cfg,
 
 /// Runs the request sequence against a persistent solver session (the api
 /// layer).  With the persistent Problem above, consecutive arrivals differ
-/// by link-price deltas plus the sampled source hubs, so an incremental
-/// session (SolverOptions::incremental) repairs its hub trees per arrival
-/// and builds only the new source roots — arrival cost scales with the
+/// by link-price deltas plus the sampled source hubs, so a SOFDA session
+/// repairs its hub trees per arrival (api::ClosureSession) and builds only
+/// the new source roots — arrival cost scales with the
 /// size of the price change, not the graph.  The cost series is
 /// bit-identical to embedding each arrival with the equivalent free
 /// function (tested).  Attach a ReportAccumulator via

@@ -7,11 +7,10 @@
 // affected physical links to kInfiniteCost (the §8 soft disconnect — the
 // repair machinery treats infinite arcs as removed without any structural
 // mutation), a heal restores the ledger-derived price.  Because the whole
-// drill is "just another cost-delta batch", every downstream layer — the
-// session closure repair (§8), the pipeline's per-epoch replica sync (§10)
-// and the sharded-closure row re-exchange (§11) — recovers incrementally
-// instead of rebuilding, and the drill is deterministic at every thread
-// and worker count.
+// drill is "just another cost-delta batch", the session closure repair
+// (§8) and the pipeline's per-epoch replica sync (§10) recover
+// incrementally instead of rebuilding, and the drill is deterministic at
+// every thread and worker count.
 //
 // The companion RecoveryEngine (recovery.hpp) re-embeds the service forests
 // a failure breaks; this header holds only the plan/report value types so

@@ -14,7 +14,6 @@
 #include "sofe/core/sofda_ss.hpp"
 #include "sofe/core/validate.hpp"
 #include "sofe/dist/dist_sofda.hpp"
-#include "sofe/dist/sharded_closure.hpp"
 #include "sofe/exact/solver.hpp"
 #include "sofe/online/simulator.hpp"
 #include "sofe/topology/topology.hpp"
@@ -150,34 +149,31 @@ TEST(Registry, MalformedDistParameterThrowsNamingTheField) {
   EXPECT_NO_THROW((void)make_solver("dist/k=3"));
 }
 
-TEST(Registry, DistSessionRepairsShardedClosureAcrossSolves) {
+TEST(Registry, DistSessionSolvesEqualTheFreeFunction) {
+  // A dist session caches nothing across solves: a repeated solve and a
+  // re-priced one each run the whole protocol cold and return exactly what
+  // the free function returns, ledger included.
   const auto topo = topology::softlayer();
   topology::ProblemConfig cfg;
   cfg.seed = 11;
   auto p = topology::make_problem(topo, cfg);
   auto solver = make_solver("dist/k=3");
 
-  const auto f_cold = solver->solve(p);
-  EXPECT_FALSE(solver->report().closure_cache_hit);
-  EXPECT_GT(solver->report().payload_bytes, 0u);
-  const std::size_t bytes_cold = solver->report().payload_bytes;
-  EXPECT_TRUE(forests_equal(f_cold, dist::distributed_sofda(p, 3).forest));
-
-  // Unchanged problem: the sharded closure hits, so neither the partition
-  // broadcast nor the row exchange is re-charged — only rounds 3-6 fly.
-  const auto f_hit = solver->solve(p);
-  EXPECT_TRUE(solver->report().closure_cache_hit);
-  EXPECT_LT(solver->report().payload_bytes, bytes_cold);
-  EXPECT_TRUE(forests_equal(f_hit, f_cold));
-
-  // One link price moves: the session repairs the shards (re-exchanging
-  // only dirtied rows) and stays bit-identical to the free function.
-  p.network.set_edge_cost(0, p.network.edge(0).cost * 2.0);
-  const auto f_rep = solver->solve(p);
-  EXPECT_TRUE(solver->report().closure_repaired);
-  EXPECT_EQ(solver->report().closure_delta_edges, 1);
-  EXPECT_LT(solver->report().payload_bytes, bytes_cold);
-  EXPECT_TRUE(forests_equal(f_rep, dist::distributed_sofda(p, 3).forest));
+  for (const char* step : {"cold", "repeat", "re-priced"}) {
+    SCOPED_TRACE(step);
+    if (std::string_view(step) == "re-priced") {
+      p.network.set_edge_cost(0, p.network.edge(0).cost * 2.0);
+    }
+    const auto want = dist::distributed_sofda(p, 3);
+    EXPECT_TRUE(forests_equal(solver->solve(p), want.forest));
+    const auto& r = solver->report();
+    EXPECT_FALSE(r.closure_cache_hit);
+    EXPECT_FALSE(r.closure_repaired);
+    EXPECT_EQ(r.controllers, 3);
+    EXPECT_EQ(r.payload_bytes, want.payload_bytes);
+    EXPECT_EQ(r.rounds, want.rounds);
+    EXPECT_EQ(r.sofda.steiner_tree_cost, want.stats.steiner_tree_cost);
+  }
 }
 
 TEST(Registry, UnknownNameThrows) {
@@ -264,22 +260,6 @@ TEST(Session, HubSetGrowthExtendsInsteadOfRebuilding) {
   EXPECT_TRUE(forests_equal(f, core::sofda(p)));
 }
 
-TEST(Session, NonIncrementalSessionsKeepStrictKeySemantics) {
-  SolverOptions strict;
-  strict.incremental = false;
-  auto p = quickstart_instance();
-  auto solver = make_solver("sofda", strict);
-  (void)solver->solve(p);
-  p.sources = {0};
-  (void)solver->solve(p);
-  EXPECT_FALSE(solver->report().closure_cache_hit);  // exact-sequence key
-  EXPECT_FALSE(solver->report().closure_repaired);
-  p.network.set_edge_cost(0, 7.75);
-  const auto f = solver->solve(p);
-  EXPECT_FALSE(solver->report().closure_repaired);  // rebuild, never repair
-  EXPECT_TRUE(forests_equal(f, core::sofda(p)));
-}
-
 TEST(Session, CostDeltasRepairTheClosureBitIdentically) {
   const auto topo = topology::softlayer();
   topology::ProblemConfig cfg;
@@ -300,24 +280,6 @@ TEST(Session, CostDeltasRepairTheClosureBitIdentically) {
   EXPECT_TRUE(solver->report().closure_cache_hit);  // steady again
 }
 
-TEST(Session, StrictKeyTracksRepairPathHubChanges) {
-  // A repair-path acquire rewrites the stored hub set (retain + extend);
-  // the strict key must follow, or flipping the session to non-incremental
-  // afterwards could falsely hit on a closure missing hub trees.
-  auto p = quickstart_instance();
-  auto solver = make_solver("sofda");
-  (void)solver->solve(p);  // rebuild: key = VMs + {0, 5}
-  p.sources = {0, 9};      // 5 churns out, 9 churns in ...
-  p.network.set_edge_cost(0, 4.25);  // ... via the repair path
-  (void)solver->solve(p);
-  EXPECT_TRUE(solver->report().closure_repaired);
-  solver->options().incremental = false;
-  p.sources = {0, 5};  // the ORIGINAL hub set, unchanged costs
-  const auto f = solver->solve(p);
-  EXPECT_FALSE(solver->report().closure_cache_hit);  // 5's tree is gone: no hit
-  EXPECT_TRUE(forests_equal(f, core::sofda(p)));
-}
-
 TEST(Session, MassiveDeltaFallsBackToRebuild) {
   auto p = quickstart_instance();
   auto solver = make_solver("sofda");
@@ -329,56 +291,6 @@ TEST(Session, MassiveDeltaFallsBackToRebuild) {
   EXPECT_FALSE(solver->report().closure_repaired);  // above the delta threshold
   EXPECT_GT(solver->report().closure_delta_edges, 0);
   EXPECT_TRUE(forests_equal(f, core::sofda(p)));
-}
-
-TEST(BoundedClosure, SolverOutputMatchesTheFreeFunction) {
-  SolverOptions bounded;
-  bounded.bounded_closure = true;
-  const auto topo = topology::softlayer();
-  auto solver = make_solver("sofda", bounded);
-  auto ss = make_solver("sofda-ss", bounded);
-  for (std::uint64_t seed : {3u, 4u}) {
-    topology::ProblemConfig cfg;
-    cfg.seed = seed;
-    const auto p = topology::make_problem(topo, cfg);
-    EXPECT_TRUE(forests_equal(solver->solve(p), core::sofda(p))) << "seed " << seed;
-    EXPECT_TRUE(forests_equal(ss->solve(p), core::sofda_ss(p, p.sources.front())))
-        << "seed " << seed;
-  }
-}
-
-TEST(BoundedClosure, SofdaSsBoundedSessionMatchesTheUnboundedSession) {
-  // Shortening reads the last segment (last VM -> destination) off the
-  // session closure, so a bounded sofda-ss closure must settle the
-  // destinations too.  With only a few VMs the hub-only settle scope stops
-  // short of far destinations, which is where a missing target shows.  One
-  // pair of persistent sessions serves a stream of random instances
-  // (shortening on, the default).
-  SolverOptions bounded;
-  bounded.bounded_closure = true;
-  SolverOptions unbounded;
-  auto bounded_ss = make_solver("sofda-ss", bounded);
-  auto unbounded_ss = make_solver("sofda-ss", unbounded);
-  ASSERT_TRUE(unbounded.algo().shorten);
-  for (const auto& topo : {topology::softlayer(), topology::cogent()}) {
-    for (int vms : {2, 3, 4, 6}) {
-      for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-        topology::ProblemConfig cfg;
-        cfg.num_vms = vms;
-        cfg.num_sources = 1;
-        cfg.num_destinations = topo.name == "Cogent" ? 20 : 8;
-        cfg.chain_length = 1 + static_cast<int>(seed % 2);
-        cfg.seed = seed;
-        const auto p = topology::make_problem(topo, cfg);
-        const ServiceForest want = unbounded_ss->solve(p);
-        const ServiceForest got = bounded_ss->solve(p);
-        ASSERT_FALSE(want.empty());
-        EXPECT_TRUE(forests_equal(got, want)) << topo.name << " vms " << vms << " seed " << seed;
-        EXPECT_EQ(core::total_cost(p, got), core::total_cost(p, want))
-            << topo.name << " vms " << vms << " seed " << seed;
-      }
-    }
-  }
 }
 
 // Version counters are copied with the graph, so two Problem copies can
@@ -695,23 +607,17 @@ TEST(SolverOptions, RoundTripsThroughAlgoOptions) {
   EXPECT_EQ(a.steiner, o.steiner);
   EXPECT_EQ(a.shorten, o.shorten);
   EXPECT_EQ(a.closure_threads, 8);
-  const auto back = SolverOptions::from(a);
-  EXPECT_EQ(back.threads, 8);
-  EXPECT_EQ(back.steiner, o.steiner);
 }
 
 // --- Steady-state closure engine (DESIGN.md §13) --------------------------
 
-// The session memory bound (DESIGN.md §13): after every incremental
-// acquire the stored closure holds exactly the distinct requested hubs, and
-// each requested row is bitwise what a cold MetricClosure::build over the
-// same hubs produces — through a pure hit, a shrinking hit, a repair that
-// adds hubs, a departure-restore batch, a +inf link failure and its heal.
-// `acquire` runs one session acquire and returns the stored closure;
-// `full_rows` compares whole trees (plain sessions) rather than the
-// hub x (hub + target) query contract sharded closures guarantee.
-template <typename AcquireFn>
-void expect_acquires_store_exactly_the_request(const AcquireFn& acquire, bool full_rows) {
+// The session memory bound (DESIGN.md §13): after every acquire the stored
+// closure holds exactly the distinct requested hubs, and each requested row
+// is bitwise what a cold MetricClosure::build over the same hubs produces —
+// through a pure hit, a shrinking hit, a repair that adds hubs, a
+// departure-restore batch, a +inf link failure and its heal.
+TEST(SessionMemoryBound, PlainAcquireStoresExactlyTheRequestedHubs) {
+  api::ClosureSession session;
   topology::ProblemConfig cfg;
   cfg.num_vms = 8;
   cfg.num_sources = 3;
@@ -719,12 +625,11 @@ void expect_acquires_store_exactly_the_request(const AcquireFn& acquire, bool fu
   cfg.seed = 41;
   auto p = topology::make_problem(topology::softlayer(), cfg);
   const std::vector<NodeId> vms = p.vms();
-  const std::vector<NodeId> targets = p.destinations;
 
   const auto check = [&](const std::vector<NodeId>& hubs, const char* step) -> api::SolveReport {
     SCOPED_TRACE(step);
     api::SolveReport rep;
-    const graph::MetricClosure& got = acquire(p.network, hubs, targets, rep);
+    const graph::MetricClosure& got = session.acquire(p.network, hubs, 1, rep);
     const std::set<NodeId> distinct(hubs.begin(), hubs.end());
     EXPECT_EQ(got.hub_count(), distinct.size());
     const std::vector<NodeId> cold_hubs(distinct.begin(), distinct.end());
@@ -732,22 +637,11 @@ void expect_acquires_store_exactly_the_request(const AcquireFn& acquire, bool fu
     for (NodeId h : cold_hubs) {
       EXPECT_TRUE(got.is_hub(h)) << "hub " << h;
       if (!got.is_hub(h)) continue;
-      if (full_rows) {
-        const auto a = got.tree(h).materialize();
-        const auto b = cold.tree(h).materialize();
-        EXPECT_EQ(a.dist, b.dist) << "hub " << h;  // bitwise
-        EXPECT_EQ(a.parent, b.parent) << "hub " << h;
-        EXPECT_EQ(a.parent_edge, b.parent_edge) << "hub " << h;
-        continue;
-      }
-      std::vector<NodeId> queries = cold_hubs;
-      queries.insert(queries.end(), targets.begin(), targets.end());
-      for (NodeId x : queries) {
-        EXPECT_EQ(got.distance(h, x), cold.distance(h, x)) << h << " -> " << x;
-        if (cold.distance(h, x) < graph::kInfiniteCost) {
-          EXPECT_EQ(got.path(h, x), cold.path(h, x)) << h << " -> " << x;
-        }
-      }
+      const auto a = got.tree(h).materialize();
+      const auto b = cold.tree(h).materialize();
+      EXPECT_EQ(a.dist, b.dist) << "hub " << h;  // bitwise
+      EXPECT_EQ(a.parent, b.parent) << "hub " << h;
+      EXPECT_EQ(a.parent_edge, b.parent_edge) << "hub " << h;
     }
     return rep;
   };
@@ -789,29 +683,6 @@ void expect_acquires_store_exactly_the_request(const AcquireFn& acquire, bool fu
   EXPECT_TRUE(check(hubs, "+inf failure").closure_repaired);
   p.network.set_edge_cost(failed, healthy);
   EXPECT_TRUE(check(hubs, "heal").closure_repaired);
-}
-
-TEST(SessionMemoryBound, PlainAcquireStoresExactlyTheRequestedHubs) {
-  api::ClosureSession session;
-  expect_acquires_store_exactly_the_request(
-      [&](const core::Graph& g, const std::vector<NodeId>& hubs, const std::vector<NodeId>&,
-          api::SolveReport& rep) -> const graph::MetricClosure& {
-        return session.acquire(g, hubs, api::ClosureRequest{}, rep);
-      },
-      /*full_rows=*/true);
-}
-
-TEST(SessionMemoryBound, ShardedAcquireStoresExactlyTheRequestedHubs) {
-  api::ClosureSession session;
-  dist::MessageBus bus;
-  expect_acquires_store_exactly_the_request(
-      [&](const core::Graph& g, const std::vector<NodeId>& hubs,
-          const std::vector<NodeId>& targets, api::SolveReport& rep) -> const graph::MetricClosure& {
-        api::ClosureRequest req;
-        req.settle_targets = targets;
-        return session.acquire_sharded(g, hubs, /*controllers=*/2, req, bus, rep).closure();
-      },
-      /*full_rows=*/false);
 }
 
 TEST(Report, PostPricingPhaseSplitFitsInsideTheSolveTime) {

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 #include <tuple>
 #include <vector>
 
-#include "sofe/api/solver.hpp"
+#include "sofe/api/registry.hpp"
 #include "sofe/core/sofda.hpp"
 #include "sofe/core/validate.hpp"
 #include "sofe/dist/dist_sofda.hpp"
@@ -249,16 +251,8 @@ TEST_P(ShardedClosureBitIdentity, MatchesGlobalClosure) {
   const int kk = k > 0 ? k : static_cast<int>(p.network.node_count());
   MessageBus bus;
   ShardedClosure sc;
-  sc.build(p.network, partition_bfs(p.network, kk), hubs, p.destinations, threads, bus,
-           /*bounded=*/true);
-  expect_rows_bitwise_equal(sc.closure(), global, hubs, p.destinations, "bounded");
-
-  // The repairable (unbounded) flavor must agree too.
-  MessageBus bus2;
-  ShardedClosure sc2;
-  sc2.build(p.network, partition_bfs(p.network, kk), hubs, p.destinations, threads, bus2,
-            /*bounded=*/false);
-  expect_rows_bitwise_equal(sc2.closure(), global, hubs, p.destinations, "unbounded");
+  sc.build(p.network, partition_bfs(p.network, kk), hubs, p.destinations, threads, bus);
+  expect_rows_bitwise_equal(sc.closure(), global, hubs, p.destinations, "sharded");
 }
 
 TEST_P(ShardedClosureBitIdentity, ExactOnSmallGraphsWithSingleNodeDomains) {
@@ -287,12 +281,10 @@ TEST_P(ShardedClosureBitIdentity, ExactOnSmallGraphsWithSingleNodeDomains) {
     std::vector<NodeId> hubs(static_cast<std::size_t>(g.node_count()));
     for (NodeId v = 0; v < g.node_count(); ++v) hubs[static_cast<std::size_t>(v)] = v;
     const graph::MetricClosure global(g, hubs, 1);
-    for (bool bounded : {true, false}) {
-      MessageBus bus;
-      ShardedClosure sc;
-      sc.build(g, part, hubs, {}, threads, bus, bounded);
-      expect_rows_bitwise_equal(sc.closure(), global, hubs, {}, topo == &ring ? "ring" : "grid");
-    }
+    MessageBus bus;
+    ShardedClosure sc;
+    sc.build(g, part, hubs, {}, threads, bus);
+    expect_rows_bitwise_equal(sc.closure(), global, hubs, {}, topo == &ring ? "ring" : "grid");
   }
 }
 
@@ -311,7 +303,7 @@ TEST(ShardedClosure, BitIdenticalOnUnitCostTies) {
   for (int k : {2, 3, 4, 25}) {
     MessageBus bus;
     ShardedClosure sc;
-    sc.build(topo.g, partition_bfs(topo.g, k), hubs, dests, 2, bus, true);
+    sc.build(topo.g, partition_bfs(topo.g, k), hubs, dests, 2, bus);
     expect_rows_bitwise_equal(sc.closure(), global, hubs, dests, "grid");
   }
 }
@@ -332,7 +324,7 @@ TEST(ShardedClosure, DisconnectedGraphStaysExact) {
   for (int k : {1, 2, 3}) {
     MessageBus bus;
     ShardedClosure sc;
-    sc.build(g, partition_bfs(g, k), hubs, dests, 2, bus, true);
+    sc.build(g, partition_bfs(g, k), hubs, dests, 2, bus);
     expect_rows_bitwise_equal(sc.closure(), global, hubs, dests, "disconnected");
   }
 }
@@ -342,7 +334,7 @@ TEST(ShardedClosure, ExchangeLedgerChargesRowsAndBytes) {
   const auto hubs = hub_set(p);
   MessageBus bus;
   ShardedClosure sc;
-  sc.build(p.network, partition_bfs(p.network, 4), hubs, p.destinations, 1, bus, true);
+  sc.build(p.network, partition_bfs(p.network, 4), hubs, p.destinations, 1, bus);
   const auto& st = sc.stats();
   EXPECT_EQ(st.domains, 4);
   EXPECT_GT(st.rows, 0u);
@@ -358,95 +350,6 @@ TEST(ShardedClosure, ExchangeLedgerChargesRowsAndBytes) {
   // The skeleton is a strict subgraph on this instance: the whole point of
   // advertising rows instead of the global edge list.
   EXPECT_LT(st.skeleton_edges, static_cast<std::size_t>(p.network.edge_count()));
-}
-
-class ShardedClosureRepair : public ::testing::TestWithParam<int> {};
-
-TEST_P(ShardedClosureRepair, DeltaRepairMatchesFreshGlobal) {
-  // set_edge_cost on an intra-domain edge, a cross link, and a
-  // border-incident edge; after each batch the repaired sharded closure
-  // must match a fresh global closure at the new costs, bit for bit.
-  const int threads = GetParam();
-  auto p = sharded_problem(91);
-  const auto hubs = hub_set(p);
-  const int k = 4;
-  const auto part = partition_bfs(p.network, k);
-
-  MessageBus bus;
-  ShardedClosure sc;
-  sc.build(p.network, part, hubs, p.destinations, threads, bus, /*bounded=*/false);
-
-  // Pick one edge of each flavor.
-  EdgeId intra = graph::kInvalidEdge, cross = graph::kInvalidEdge,
-         border_touch = graph::kInvalidEdge;
-  const auto& edges = p.network.edges();
-  std::vector<char> is_border(static_cast<std::size_t>(p.network.node_count()), 0);
-  for (const auto& bl : part.borders) {
-    for (NodeId b : bl) is_border[static_cast<std::size_t>(b)] = 1;
-  }
-  for (EdgeId e = 0; e < p.network.edge_count(); ++e) {
-    const auto& ed = edges[static_cast<std::size_t>(e)];
-    if (ed.cost == 0.0) continue;  // keep VM taps intact
-    const bool crossing = part.domain(ed.u) != part.domain(ed.v);
-    const bool touches_border =
-        is_border[static_cast<std::size_t>(ed.u)] || is_border[static_cast<std::size_t>(ed.v)];
-    if (crossing && cross == graph::kInvalidEdge) cross = e;
-    if (!crossing && touches_border && border_touch == graph::kInvalidEdge) border_touch = e;
-    if (!crossing && !touches_border && intra == graph::kInvalidEdge) intra = e;
-  }
-  ASSERT_NE(intra, graph::kInvalidEdge);
-  ASSERT_NE(cross, graph::kInvalidEdge);
-  ASSERT_NE(border_touch, graph::kInvalidEdge);
-
-  int batch = 0;
-  for (const auto& [e, factor] : {std::pair<EdgeId, double>{intra, 0.25},
-                                  {cross, 3.0},
-                                  {border_touch, 0.1}}) {
-    ++batch;
-    const Cost old_cost = p.network.edge(e).cost;
-    const Cost new_cost = old_cost * factor;
-    p.network.set_edge_cost(e, new_cost);
-    const graph::EdgeCostDelta delta{e, old_cost, new_cost};
-    const std::size_t rows_before = sc.stats().exchanged_rows;
-    sc.refresh(p.network, std::span(&delta, 1), threads, bus);
-    const graph::MetricClosure fresh(p.network, hubs, 1);
-    expect_rows_bitwise_equal(sc.closure(), fresh, hubs, p.destinations,
-                              batch == 1 ? "intra" : batch == 2 ? "cross" : "border");
-    // Only dirtied rows re-ship: never the whole advertisement set again.
-    EXPECT_LE(sc.stats().exchanged_rows - rows_before, sc.stats().rows);
-  }
-  EXPECT_GT(sc.stats().repaired_rows, 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Threads, ShardedClosureRepair, ::testing::Values(1, 2, 8));
-
-TEST(ShardedClosure, ExtendAddsHubRowsIncrementally) {
-  // The session's churned-in-source path: build without one source, extend
-  // with it, and land bitwise on the full global closure.
-  const auto p = sharded_problem(55);
-  auto hubs = hub_set(p);
-  const NodeId late = hubs.back();
-  std::vector<NodeId> initial(hubs.begin(), hubs.end() - 1);
-
-  MessageBus bus;
-  ShardedClosure sc;
-  sc.build(p.network, partition_bfs(p.network, 3), initial, p.destinations, 2, bus,
-           /*bounded=*/false);
-  ASSERT_FALSE(sc.closure().is_hub(late));
-
-  sc.extend(p.network, hubs, 2, bus);
-  const graph::MetricClosure global(p.network, hubs, 1);
-  expect_rows_bitwise_equal(sc.closure(), global, hubs, p.destinations, "extend");
-
-  // Retain back to the initial set and re-extend: the warm local rows make
-  // the second extend exchange-free or cheaper, never wrong.
-  const std::size_t entries_first = sc.stats().exchanged_entries;
-  sc.retain(initial);
-  EXPECT_FALSE(sc.closure().is_hub(late));
-  sc.extend(p.network, hubs, 2, bus);
-  expect_rows_bitwise_equal(sc.closure(), global, hubs, p.destinations, "re-extend");
-  EXPECT_EQ(sc.stats().exchanged_entries, entries_first)
-      << "re-extending a warm hub should not re-ship rows";
 }
 
 TEST(DistributedSofda, CertificateBitwiseIdenticalAcrossKAndThreads) {
@@ -484,8 +387,7 @@ TEST(DistributedSofda, MergedCandidatesEqualCentralizedExactly) {
   // Each controller prunes against its own sources only, so its list holds
   // its local per-VM minima; the coordinator's merge keeps the global
   // minima with ties.  The merged list must be the centralized one chain
-  // for chain, bounded and unbounded, and the bus charges only the locally
-  // pruned chains.
+  // for chain, and the bus charges only the locally pruned chains.
   topology::ProblemConfig cfg;
   cfg.num_vms = 10;
   cfg.num_sources = 8;
@@ -502,33 +404,61 @@ TEST(DistributedSofda, MergedCandidatesEqualCentralizedExactly) {
 
   std::size_t filtered_by_merge = 0;
   for (int k : {2, 4}) {
-    for (bool bounded : {false, true}) {
-      SCOPED_TRACE("k " + std::to_string(k) + (bounded ? ", bounded" : ", unbounded"));
-      MessageBus bus;
-      ShardedClosure sc;
-      sc.build(p.network, partition_bfs(p.network, k), hub_set(p), p.destinations, 1, bus,
-               bounded);
-      std::vector<core::PricedChain> merged;
-      for (int d = 0; d < k; ++d) {
-        std::vector<NodeId> mine;
-        for (NodeId s : p.sources) {
-          if (sc.partition().domain(s) == d) mine.push_back(s);
-        }
-        const auto local = core::price_candidate_chains(p, sc.closure(), mine);
-        merged.insert(merged.end(), local.begin(), local.end());
+    SCOPED_TRACE("k " + std::to_string(k));
+    MessageBus bus;
+    ShardedClosure sc;
+    sc.build(p.network, partition_bfs(p.network, k), hub_set(p), p.destinations, 1, bus);
+    std::vector<core::PricedChain> merged;
+    for (int d = 0; d < k; ++d) {
+      std::vector<NodeId> mine;
+      for (NodeId s : p.sources) {
+        if (sc.partition().domain(s) == d) mine.push_back(s);
       }
-      const std::size_t shipped = merged.size();
-      core::merge_priced_chains(merged);
-      EXPECT_TRUE(pricing_oracle::chains_equal(merged, central));
-      filtered_by_merge += shipped - merged.size();
-
-      const auto r = distributed_sofda_with(p, sc, bus);
-      EXPECT_EQ(r.stats.candidate_chains, static_cast<int>(central.size()));
-      EXPECT_EQ(r.stats.steiner_tree_cost, central_stats.steiner_tree_cost);
-      EXPECT_TRUE(pricing_oracle::forests_equal(r.forest, central_forest));
+      const auto local = core::price_candidate_chains(p, sc.closure(), mine);
+      merged.insert(merged.end(), local.begin(), local.end());
     }
+    const std::size_t shipped = merged.size();
+    core::merge_priced_chains(merged);
+    EXPECT_TRUE(pricing_oracle::chains_equal(merged, central));
+    filtered_by_merge += shipped - merged.size();
+
+    const auto r = distributed_sofda_with(p, sc, bus);
+    EXPECT_EQ(r.stats.candidate_chains, static_cast<int>(central.size()));
+    EXPECT_EQ(r.stats.steiner_tree_cost, central_stats.steiner_tree_cost);
+    EXPECT_TRUE(pricing_oracle::forests_equal(r.forest, central_forest));
   }
   EXPECT_GT(filtered_by_merge, 0u) << "some local minimum must lose to another domain's";
+}
+
+TEST(DistSession, EveryForestEqualsSofdaAcrossDestinationChangesAndRepricing) {
+  // A stream that keeps network, VMs and sources but redraws the
+  // destinations every solve, and moves one link price every other solve.
+  // The shards advertise chains toward the build's destinations only, so a
+  // stitched closure reused across solves would not be exact for the next
+  // destinations: every forest must still be SOFDA's, bit for bit.
+  const auto topo = topology::cogent();
+  topology::ProblemConfig cfg;
+  cfg.seed = 5;
+  cfg.num_destinations = 6;
+  auto p = topology::make_problem(topo, cfg);
+  auto k2 = api::make_solver("dist/k=2");
+  auto k4 = api::make_solver("dist/k=4");
+  for (std::uint64_t seed = 101; seed <= 300; ++seed) {
+    topology::ProblemConfig draw = cfg;
+    draw.seed = seed;
+    p.destinations = topology::make_problem(topo, draw).destinations;
+    if (seed % 2 == 0) {
+      const auto edges = static_cast<std::uint64_t>(p.network.edge_count());
+      const auto e = static_cast<EdgeId>(seed * 37 % edges);
+      const Cost c = p.network.edge(e).cost;
+      if (c > 0.0) p.network.set_edge_cost(e, seed % 4 == 0 ? c * 1.5 : c * 0.75);
+    }
+    const auto want = core::sofda(p);
+    for (api::Solver* solver : {k2.get(), k4.get()}) {
+      EXPECT_TRUE(pricing_oracle::forests_equal(solver->solve(p), want))
+          << solver->name() << " destinations seed " << seed;
+    }
+  }
 }
 
 }  // namespace

@@ -426,19 +426,16 @@ TEST(ShortenOracle, StitchedShardedClosureMatchesThePerSegmentDijkstra) {
     const Problem p = topology::make_problem(c.topo, c.cfg);
     util::Rng rng(c.cfg.seed * 17 + 1);
     const auto forests = raw_forests(p, rng);
-    for (bool bounded : {true, false}) {
-      dist::MessageBus bus;
-      dist::ShardedClosure sc;
-      sc.build(p.network, dist::partition_bfs(p.network, 2), sofda_hubs(p), p.destinations, 1,
-               bus, bounded);
-      for (const ServiceForest& base : forests) {
-        expect_matches_oracle(p, sc.closure(), base,
-                              c.name + (bounded ? " sharded bounded" : " sharded"));
-        ++compared;
-      }
+    dist::MessageBus bus;
+    dist::ShardedClosure sc;
+    sc.build(p.network, dist::partition_bfs(p.network, 2), sofda_hubs(p), p.destinations, 1,
+             bus);
+    for (const ServiceForest& base : forests) {
+      expect_matches_oracle(p, sc.closure(), base, c.name + " sharded");
+      ++compared;
     }
   }
-  EXPECT_GT(compared, 40);
+  EXPECT_GT(compared, 20);
 }
 
 TEST(ShortenOracle, VnfDeleteMatchesThePerSegmentDijkstra) {

@@ -148,22 +148,20 @@ TEST(OnlinePersistentProblem, BitIdenticalToTheCopyingReferenceDriver) {
 
 TEST(OnlinePersistentProblem, SessionWithRepairBitIdenticalToCopyingReference) {
   // The full acceptance chain: persistent Problem -> cost-only deltas ->
-  // ClosureSession repair, against the copying driver + per-arrival
-  // rebuilds.  Forests, costs and the accept/reject sequence must agree
-  // bit for bit.
+  // ClosureSession repair, against the copying driver + a fresh solver
+  // (cold closure, cold pricing cache) per arrival.  Forests, costs and
+  // the accept/reject sequence must agree bit for bit.
   const auto topo = topology::softlayer();
   auto cfg = small_config();
   cfg.requests = 10;
 
-  auto incremental = api::make_solver("sofda");
-  const auto repaired = simulate(topo, cfg, *incremental);
+  auto session = api::make_solver("sofda");
+  const auto repaired = simulate(topo, cfg, *session);
 
   auto ref_cfg = cfg;
   ref_cfg.copy_problems = true;
-  api::SolverOptions rebuild_opt;
-  rebuild_opt.incremental = false;
-  auto rebuilding = api::make_solver("sofda", rebuild_opt);
-  const auto rebuilt = simulate(topo, ref_cfg, *rebuilding);
+  const auto rebuilt = simulate(topo, ref_cfg, "sofda",
+                                [](const Problem& p) { return api::make_solver("sofda")->solve(p); });
 
   expect_results_identical(repaired, rebuilt);
 }
